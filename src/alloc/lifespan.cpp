@@ -26,6 +26,22 @@ double optimistic_fu_delay(const Dfg& dfg, OpId id, const tech::Library& lib) {
 
 }  // namespace
 
+std::string clock_too_short(const Dfg& dfg, const LinearRegion& region,
+                            const tech::Library& lib, double tclk_ps) {
+  const double usable = tclk_ps - lib.reg_clk_to_q_ps() - lib.reg_setup_ps();
+  for (const auto& step : region.steps) {
+    for (OpId id : step) {
+      const double fu = optimistic_fu_delay(dfg, id, lib);
+      if (fu <= usable) continue;
+      return strf("operation '", dfg.op(id).name, "' (",
+                  tech::fu_class_name(tech::fu_class_for(dfg, id)),
+                  ") cannot fit in the clock period even alone: ", fu, " > ",
+                  usable, " ps");
+    }
+  }
+  return {};
+}
+
 LifespanResult compute_lifespans(const Dfg& dfg, const LinearRegion& region,
                                  int num_steps, const tech::Library& lib,
                                  double tclk_ps, bool anchor_io,
@@ -112,10 +128,9 @@ LifespanResult compute_lifespans(const Dfg& dfg, const LinearRegion& region,
         // Cut the chain: register inputs, move to the next step.
         ++step;
         arr_out = launch + fu;
-        HLS_ASSERT(fu <= usable,
-                   "operation '", o.name, "' (", tech::fu_class_name(cls),
-                   ") cannot fit in the clock period even alone: ", fu,
-                   " > ", usable, " ps");
+        HLS_ASSERT(fu <= usable, "operation '", o.name,
+                   "' cannot fit in the clock period alone; callers reject ",
+                   "such clocks with clock_too_short()");
       }
       sp.asap = step;
       sp.asap_arrival_ps = arr_out;

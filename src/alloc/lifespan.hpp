@@ -8,6 +8,7 @@
 // exceeded. ALAP mirrors the pass from the region's deadline.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "ir/region.hpp"
@@ -30,6 +31,14 @@ struct LifespanResult {
   bool feasible = true;       ///< false if some op has alap < asap
   ir::OpId first_infeasible = ir::kNoOp;
 };
+
+/// Empty when every op of `region` fits in one `tclk_ps` cycle on its own
+/// (no chaining, no sharing muxes); otherwise why the first one in
+/// program order does not. No relaxation can fix such a clock, so the
+/// scheduler checks this before building a problem: compute_lifespans
+/// assumes it holds.
+std::string clock_too_short(const ir::Dfg& dfg, const ir::LinearRegion& region,
+                            const tech::Library& lib, double tclk_ps);
 
 /// Computes spans for all ops of `region` over `num_steps` control steps.
 /// If `anchor_io` is true (timed regions), reads/writes are pinned to their

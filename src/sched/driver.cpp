@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "alloc/lifespan.hpp"
 #include "sched/backend.hpp"
 #include "support/strings.hpp"
 #include "tech/library.hpp"
@@ -431,7 +432,11 @@ SchedulerResult schedule_region_impl(const ir::Dfg& dfg,
   // runs cold, and the jump fires only once the cold ladder agrees with
   // the donor recipe, so a seed changes pass counts but is designed never
   // to change the result (pinned by the serve golden suite).
-  const ScheduleSeed* seed = options.seed;
+  // A budgeted run ignores its seed as if none were offered: a replay
+  // would finish in one pass where the cold solve exhausts the budget,
+  // and the budget verdict must not depend on which seeds a cache held.
+  const ScheduleSeed* seed =
+      options.budget.unlimited() ? options.seed : nullptr;
   const bool seed_shape_ok =
       seed != nullptr && options.warm_start && backend->warm_startable() &&
       seed->backend == backend->kind() &&
@@ -513,6 +518,18 @@ SchedulerResult schedule_region(const ir::Dfg& dfg,
                                 ir::LatencyBound latency,
                                 std::size_t num_ports,
                                 const SchedulerOptions& options) {
+  const tech::Library& lib =
+      options.lib != nullptr ? *options.lib : tech::artisan90();
+  if (std::string why = alloc::clock_too_short(dfg, region, lib,
+                                               options.tclk_ps);
+      !why.empty()) {
+    // Checked before any problem exists, so kAuto stays unresolved.
+    SchedulerResult r;
+    r.backend = options.backend;
+    r.failure_code = "clock_too_short";
+    r.failure_reason = std::move(why);
+    return r;
+  }
   if (!options.solve_min_ii || !options.pipeline.enabled) {
     return schedule_region_impl(dfg, region, latency, num_ports, options);
   }
@@ -530,8 +547,6 @@ SchedulerResult schedule_region(const ir::Dfg& dfg,
   // skipping the sweep's infeasible prefix without running a single pass
   // on it. Each candidate attempt gets the full option budget; the
   // returned engine_commits/relax_steps accumulate the whole escalation.
-  const tech::Library& lib =
-      options.lib != nullptr ? *options.lib : tech::artisan90();
   const int floor_ii = std::max(1, options.pipeline.ii);
   SchedulerOptions probe_opts = options;
   probe_opts.pipeline = {true, floor_ii};

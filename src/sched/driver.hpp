@@ -127,7 +127,9 @@ struct SchedulerOptions {
   const mem::MemorySpec* memory = nullptr;
 
   /// Cross-run seed (see ScheduleSeed). Must describe the same module;
-  /// incompatible seeds are ignored (SeedUse::kMiss reports why not).
+  /// incompatible seeds are ignored (SeedUse::kMiss reports why not). A
+  /// run with a budget (budget not unlimited()) ignores its seed as if
+  /// none were offered: a replay would let a cache decide the verdict.
   const ScheduleSeed* seed = nullptr;
   /// Record a ScheduleSeed for this run into SchedulerResult::seed_out on
   /// success (costs one trace copy per run; off by default).
@@ -183,8 +185,9 @@ struct SchedulerResult {
   bool success = false;
   Schedule schedule;
   /// The backend that produced (or failed to produce) the schedule: the
-  /// *resolved* backend, never kAuto — a kAuto request reports the
-  /// concrete choice resolve_backend made for this problem.
+  /// *resolved* backend — a kAuto request reports the concrete choice
+  /// resolve_backend made for this problem. Only a "clock_too_short"
+  /// failure, which stops before any problem is built, reports kAuto.
   BackendKind backend = BackendKind::kList;
   int passes = 0;
   std::vector<PassRecord> history;
@@ -194,6 +197,8 @@ struct SchedulerResult {
   /// for ordinary infeasibility (the flow layer maps empty to
   /// "infeasible"). Budget/cancellation codes: "pass_budget_exhausted",
   /// "budget_exhausted", "cancelled", "deadline_exceeded".
+  /// "clock_too_short": some op cannot fit in one clock period even alone
+  /// (alloc::clock_too_short), so no relaxation can help.
   std::string failure_code;
 
   /// Work-unit spend of the whole run (seed-replay attempts included):

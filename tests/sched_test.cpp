@@ -262,9 +262,61 @@ TEST(Clock, InfeasibleClockReportsFailure) {
   Prepared p = prepare_example1();
   SchedulerOptions opts;
   opts.tclk_ps = 900;  // a 32-bit multiply alone cannot fit
-  EXPECT_THROW(schedule_region(p.module.thread.dfg, p.region, p.latency,
-                               p.module.ports.size(), opts),
-               InternalError);
+  const auto fixed = schedule_region(p.module.thread.dfg, p.region, p.latency,
+                                     p.module.ports.size(), opts);
+  EXPECT_FALSE(fixed.success);
+  EXPECT_EQ(fixed.failure_code, "clock_too_short");
+  EXPECT_NE(fixed.failure_reason.find("cannot fit in the clock period"),
+            std::string::npos)
+      << fixed.failure_reason;
+  EXPECT_EQ(fixed.passes, 0);
+  // The min-II path reports the same failure with the same text.
+  opts.pipeline = {true, 1};
+  opts.solve_min_ii = true;
+  const auto min_ii = schedule_region(p.module.thread.dfg, p.region,
+                                      p.latency, p.module.ports.size(), opts);
+  EXPECT_FALSE(min_ii.success);
+  EXPECT_EQ(min_ii.failure_code, "clock_too_short");
+  EXPECT_EQ(min_ii.failure_reason, fixed.failure_reason);
+}
+
+// A seed that would replay in one pass must not rescue a run whose budget
+// the cold solve exhausts: budgeted runs ignore their seed.
+TEST(Seed, BudgetedRunIgnoresItsSeed) {
+  Prepared p = prepare_example1();
+  SchedulerOptions record;
+  record.record_seed = true;
+  const auto cold = schedule_region(p.module.thread.dfg, p.region, p.latency,
+                                    p.module.ports.size(), record);
+  ASSERT_TRUE(cold.success) << cold.failure_reason;
+  ASSERT_GT(cold.passes, 1);
+
+  SchedulerOptions unbudgeted;
+  unbudgeted.seed = &cold.seed_out;
+  const auto replay = schedule_region(p.module.thread.dfg, p.region,
+                                      p.latency, p.module.ports.size(),
+                                      unbudgeted);
+  ASSERT_TRUE(replay.success);
+  EXPECT_EQ(replay.seed_use, SeedUse::kReplay);
+  EXPECT_EQ(replay.passes, 1);
+
+  for (const std::int64_t max_passes : {std::int64_t{1},
+                                        std::int64_t{cold.passes}}) {
+    SchedulerOptions budgeted;
+    budgeted.budget.max_passes = max_passes;
+    const auto unseeded = schedule_region(p.module.thread.dfg, p.region,
+                                          p.latency, p.module.ports.size(),
+                                          budgeted);
+    budgeted.seed = &cold.seed_out;
+    const auto seeded = schedule_region(p.module.thread.dfg, p.region,
+                                        p.latency, p.module.ports.size(),
+                                        budgeted);
+    EXPECT_EQ(seeded.seed_use, SeedUse::kNone) << max_passes;
+    EXPECT_EQ(seeded.success, unseeded.success) << max_passes;
+    EXPECT_EQ(seeded.failure_code, unseeded.failure_code) << max_passes;
+    EXPECT_EQ(seeded.passes, unseeded.passes) << max_passes;
+    EXPECT_EQ(seeded.engine_commits, unseeded.engine_commits) << max_passes;
+  }
 }
 
 TEST(WriteOrder, SamePortWritesKeepProgramOrder) {

@@ -11,6 +11,7 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/server.hpp"
@@ -204,6 +205,29 @@ TEST(ServeDeterminism, TraceCacheChangesPassCountsNotResults) {
   ServerOptions off = on;
   off.trace_cache = false;
   EXPECT_EQ(strip(run_stream(on, 0)), strip(run_stream(off, 0)));
+
+  // A resubmission under a one-pass budget: the cached seed would replay
+  // it in one pass, but the cold solve needs more, so a budgeted run must
+  // ignore the seed. The streams then match byte for byte, passes and
+  // seed_use included.
+  auto drain_text = [](const ServerOptions& options, std::string_view doc) {
+    Server server(options);
+    std::vector<std::string> errors;
+    EXPECT_EQ(server.submit_text(doc, &errors), 2u);
+    std::string out;
+    server.drain([&](const std::string& line) {
+      out += line;
+      out += '\n';
+    });
+    return out;
+  };
+  constexpr std::string_view kBudgetDoc =
+      R"({"jobs":[{"id":0,"workload":"ewf","grid":{"tclk_ps":[1600],"latency":[16]}},)"
+      R"({"id":1,"workload":"ewf","budget":{"passes":1},"grid":{"tclk_ps":[1600],"latency":[16]}}]})";
+  const std::string budget_on = drain_text(on, kBudgetDoc);
+  EXPECT_EQ(budget_on, drain_text(off, kBudgetDoc));
+  EXPECT_NE(budget_on.find("pass_budget_exhausted"), std::string::npos)
+      << budget_on;
 }
 
 TEST(ServeDeterminism, RejectsDuplicateAndMalformedJobs) {
