@@ -1,29 +1,28 @@
-// Model-guided exploration A/B: the same grids — a named-kernel suite
-// sweep and a ~1600-op random-CDFG sweep — run through the exhaustive
-// engine and the guided engine (best-first chains + in-chain seeding +
-// dominance pruning). Emits BENCH_explore.json, which doubles as the
-// committed bench/baseline_explore.json the cost-model fit consumes
-// (bench/fit_cost_model.py): the recurrence A/B section measures list vs
-// SDC wall-clock at three sizes on pipelined recurrence grids (identical
-// pass counts through the shared expert ladder), and the memory A/B
-// section measures the per-pool pass bump (memory-aware vs blind).
+// Pruning exploration A/B: the same grids — a named-kernel suite sweep
+// and a ~1600-op random-CDFG sweep — run through the exhaustive engine
+// and the pruning engine (clock-ladder chains + dominance pruning). Emits
+// BENCH_explore.json, gated against the committed
+// bench/baseline_explore.json. Its recurrence A/B section measures list
+// vs SDC wall-clock at three sizes on pipelined recurrence grids
+// (identical pass counts through the shared expert ladder): the evidence
+// behind kAuto's size limits (docs/SCHEDULER.md).
 //
 // Self-checking — the bench exits 1 unless:
-//  * every point the guided engine RUNS is field-identical to the
+//  * every point the pruning engine RUNS is field-identical to the
 //    exhaustive engine's (pruning must not perturb survivors);
 //  * every point it SKIPS ([explore/dominated]) is one the exhaustive
 //    engine proved infeasible (pruning must never lose a point);
 //  * total scheduling passes drop by at least 25%;
-//  * guided wall-clock beats exhaustive wall-clock.
+//  * pruning wall-clock beats exhaustive wall-clock.
 //
 // The grids are deliberately weighted the way real performance-
 // constrained sweeps are: long clock ladders whose tight-latency tails
 // exhaust the relaxation ladder (provable, pass-bearing — the prunable
 // mass), recurrence-bound pipelined ladders (provable, cheap), and
-// feasible ladders (the in-chain seeding regime). Budget-exhausted
-// regions are NOT prunable by design — budget codes are not proofs —
-// so they appear in the correctness grids (tests), not here where they
-// would only dilute the ratio identically on both arms.
+// feasible ladders. Budget-exhausted regions are NOT prunable by design —
+// budget codes are not proofs — so they appear in the correctness grids
+// (tests), not here where they would only dilute the ratio identically
+// on both arms.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -108,9 +107,7 @@ std::vector<NamedGrid> make_grids() {
 
 bool points_semantically_equal(const core::ExplorePoint& a,
                                const core::ExplorePoint& b) {
-  // Everything but wall-clock and seed_use (the guided engine reports
-  // in-chain sharing; exhaustive always says "none" — and seeds never
-  // change results, which is exactly what this comparison enforces).
+  // Everything but wall-clock.
   return a.curve == b.curve && a.tclk_ps == b.tclk_ps &&
          a.latency == b.latency && a.pipelined == b.pipelined &&
          a.min_ii == b.min_ii && a.delay_ns == b.delay_ns &&
@@ -118,6 +115,7 @@ bool points_semantically_equal(const core::ExplorePoint& a,
          a.feasible == b.feasible && a.failure == b.failure &&
          a.cancelled == b.cancelled && a.passes == b.passes &&
          a.relaxations == b.relaxations && a.backend == b.backend &&
+         a.seed_use == b.seed_use &&
          a.constraint_edges == b.constraint_edges &&
          a.propagation_relaxations == b.propagation_relaxations &&
          a.memory_restraints == b.memory_restraints &&
@@ -129,15 +127,13 @@ struct ArmTotals {
   double seconds = 0;
   std::size_t feasible = 0;
   std::size_t pruned = 0;
-  std::size_t seeded = 0;
-  std::size_t replayed = 0;
 };
 
 struct GridReport {
   std::string name;
   std::size_t ops = 0;
   std::size_t points = 0;
-  ArmTotals exhaustive, guided;
+  ArmTotals exhaustive, pruning;
   bool results_identical = true;
   bool pruned_only_provable = true;
 };
@@ -149,8 +145,6 @@ ArmTotals tally(const std::vector<core::ExplorePoint>& pts, double seconds) {
     t.passes += p.passes;
     if (p.feasible) ++t.feasible;
     if (p.failure.rfind(core::kDominatedPrefix, 0) == 0) ++t.pruned;
-    if (p.seed_use == "seeded") ++t.seeded;
-    if (p.seed_use == "replay") ++t.replayed;
   }
   return t;
 }
@@ -168,22 +162,21 @@ GridReport run_grid(const NamedGrid& spec) {
     *seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     return pts;
   };
-  double exhaustive_s = 0, guided_s = 0;
+  double exhaustive_s = 0, pruning_s = 0;
   const auto exhaustive = timed({}, &exhaustive_s);
-  core::ExploreOptions guided_opts;
-  guided_opts.guided = true;
-  guided_opts.prune = true;
-  const auto guided = timed(guided_opts, &guided_s);
+  core::ExploreOptions prune_opts;
+  prune_opts.prune = true;
+  const auto pruning = timed(prune_opts, &pruning_s);
 
   report.exhaustive = tally(exhaustive, exhaustive_s);
-  report.guided = tally(guided, guided_s);
+  report.pruning = tally(pruning, pruning_s);
   for (std::size_t i = 0; i < spec.grid.size(); ++i) {
-    if (guided[i].failure.rfind(core::kDominatedPrefix, 0) == 0) {
+    if (pruning[i].failure.rfind(core::kDominatedPrefix, 0) == 0) {
       if (exhaustive[i].feasible) report.pruned_only_provable = false;
-    } else if (!points_semantically_equal(guided[i], exhaustive[i])) {
+    } else if (!points_semantically_equal(pruning[i], exhaustive[i])) {
       report.results_identical = false;
       std::fprintf(stderr,
-                   "MISMATCH %s point %zu (%s tclk=%.0f): guided run "
+                   "MISMATCH %s point %zu (%s tclk=%.0f): pruning run "
                    "differs from exhaustive\n",
                    spec.name.c_str(), i, spec.grid[i].curve.c_str(),
                    spec.grid[i].tclk_ps);
@@ -192,7 +185,7 @@ GridReport run_grid(const NamedGrid& spec) {
   return report;
 }
 
-// ---- Cost-model fit inputs -------------------------------------------------
+// ---- kAuto evidence: list vs SDC on pipelined recurrences -----------------
 
 struct RecurrenceAb {
   std::string workload;
@@ -225,7 +218,7 @@ RecurrenceAb recurrence_ab(const char* name, workloads::Workload w,
   ab.list_seconds = list[0].sched_seconds;
   ab.sdc_seconds = sdc[0].sched_seconds;
   // Identical pass counts are what make the wall ratio a per-pass
-  // ratio; the fit hard-fails on a mismatch, so catch it here first.
+  // ratio; a mismatch makes the A/B unusable.
   ab.ok = list[0].feasible && sdc[0].feasible &&
           ab.list_passes == ab.sdc_passes;
   if (!ab.ok) {
@@ -238,50 +231,21 @@ RecurrenceAb recurrence_ab(const char* name, workloads::Workload w,
   return ab;
 }
 
-struct MemoryAb {
-  std::size_t pools = 0;
-  int passes_aware = 0, passes_blind = 0;
-  bool ok = false;
-};
-
-MemoryAb memory_ab() {
-  core::FlowSession session(workloads::make_banked_fir());
-  MemoryAb ab;
-  ab.pools = session.memory().arrays.size();
-  core::ExploreConfig cfg;
-  cfg.curve = "banked_fir";
-  cfg.tclk_ps = 1600;
-  cfg.latency = 0;
-  auto aware = core::explore(session, {cfg}, {});
-  cfg.memory_aware = false;
-  auto blind = core::explore(session, {cfg}, {});
-  ab.passes_aware = aware[0].passes;
-  ab.passes_blind = blind[0].passes;
-  ab.ok = aware[0].feasible && blind[0].feasible && ab.pools > 0 &&
-          ab.passes_blind > 0;
-  if (!ab.ok) {
-    std::fprintf(stderr, "FAIL: memory A/B unusable (aware feasible=%d, "
-                         "blind feasible=%d, pools=%zu)\n",
-                 aware[0].feasible, blind[0].feasible, ab.pools);
-  }
-  return ab;
-}
-
 }  // namespace
 
 int main() {
   std::vector<GridReport> reports;
-  ArmTotals exhaustive, guided;
+  ArmTotals exhaustive, pruning;
   std::size_t points = 0;
   bool results_identical = true, pruned_only_provable = true;
   for (const auto& spec : make_grids()) {
     reports.push_back(run_grid(spec));
     const auto& r = reports.back();
     std::printf("%-12s %4zu ops %4zu pts: passes %6lld -> %6lld, "
-                "pruned %3zu, seeded %2zu, wall %6.2fs -> %6.2fs\n",
+                "pruned %3zu, wall %6.2fs -> %6.2fs\n",
                 r.name.c_str(), r.ops, r.points, r.exhaustive.passes,
-                r.guided.passes, r.guided.pruned, r.guided.seeded,
-                r.exhaustive.seconds, r.guided.seconds);
+                r.pruning.passes, r.pruning.pruned, r.exhaustive.seconds,
+                r.pruning.seconds);
     points += r.points;
     results_identical = results_identical && r.results_identical;
     pruned_only_provable = pruned_only_provable && r.pruned_only_provable;
@@ -290,26 +254,24 @@ int main() {
       into->seconds += from.seconds;
       into->feasible += from.feasible;
       into->pruned += from.pruned;
-      into->seeded += from.seeded;
-      into->replayed += from.replayed;
     };
     add(&exhaustive, r.exhaustive);
-    add(&guided, r.guided);
+    add(&pruning, r.pruning);
   }
 
   const double pass_reduction =
       exhaustive.passes > 0
-          ? 100.0 * (1.0 - static_cast<double>(guided.passes) /
+          ? 100.0 * (1.0 - static_cast<double>(pruning.passes) /
                                static_cast<double>(exhaustive.passes))
           : 0.0;
   const double wall_reduction =
       exhaustive.seconds > 0
-          ? 100.0 * (1.0 - guided.seconds / exhaustive.seconds)
+          ? 100.0 * (1.0 - pruning.seconds / exhaustive.seconds)
           : 0.0;
   std::printf("total        %4zu pts: passes %6lld -> %6lld (-%.1f%%), "
               "pruned %zu, wall %.2fs -> %.2fs (-%.1f%%)\n",
-              points, exhaustive.passes, guided.passes, pass_reduction,
-              guided.pruned, exhaustive.seconds, guided.seconds,
+              points, exhaustive.passes, pruning.passes, pass_reduction,
+              pruning.pruned, exhaustive.seconds, pruning.seconds,
               wall_reduction);
 
   std::vector<RecurrenceAb> rec;
@@ -335,14 +297,10 @@ int main() {
                 ab.sdc_seconds,
                 ab.list_seconds > 0 ? ab.sdc_seconds / ab.list_seconds : 0.0);
   }
-  const MemoryAb mem = memory_ab();
-  std::printf("memory A/B banked_fir: %zu pool(s), %d passes aware vs %d "
-              "blind\n",
-              mem.pools, mem.passes_aware, mem.passes_blind);
 
   bool ok = true;
   if (!results_identical) {
-    std::fprintf(stderr, "FAIL: guided results differ from exhaustive\n");
+    std::fprintf(stderr, "FAIL: pruning results differ from exhaustive\n");
     ok = false;
   }
   if (!pruned_only_provable) {
@@ -357,18 +315,13 @@ int main() {
                  pass_reduction);
     ok = false;
   }
-  if (guided.seconds >= exhaustive.seconds) {
+  if (pruning.seconds >= exhaustive.seconds) {
     std::fprintf(stderr,
-                 "FAIL: guided wall %.2fs did not beat exhaustive %.2fs\n",
-                 guided.seconds, exhaustive.seconds);
-    ok = false;
-  }
-  if (guided.seeded == 0) {
-    std::fprintf(stderr, "FAIL: no in-chain seed sharing happened\n");
+                 "FAIL: pruning wall %.2fs did not beat exhaustive %.2fs\n",
+                 pruning.seconds, exhaustive.seconds);
     ok = false;
   }
   for (const auto& ab : rec) ok = ok && ab.ok;
-  ok = ok && mem.ok;
 
   JsonWriter w;
   w.begin_object();
@@ -378,15 +331,13 @@ int main() {
   w.key("results_identical"), w.value(results_identical);
   w.key("pruned_only_provable"), w.value(pruned_only_provable);
   w.key("exhaustive_passes"), w.value(static_cast<std::int64_t>(exhaustive.passes));
-  w.key("guided_passes"), w.value(static_cast<std::int64_t>(guided.passes));
+  w.key("guided_passes"), w.value(static_cast<std::int64_t>(pruning.passes));
   w.key("pass_reduction_pct"), w.value(pass_reduction);
   w.key("exhaustive_seconds"), w.value(exhaustive.seconds);
-  w.key("guided_seconds"), w.value(guided.seconds);
+  w.key("guided_seconds"), w.value(pruning.seconds);
   w.key("wall_reduction_pct"), w.value(wall_reduction);
-  w.key("pruned_points"), w.value(static_cast<std::uint64_t>(guided.pruned));
-  w.key("seeded_points"), w.value(static_cast<std::uint64_t>(guided.seeded));
-  w.key("replayed_points"), w.value(static_cast<std::uint64_t>(guided.replayed));
-  w.key("feasible_points"), w.value(static_cast<std::uint64_t>(guided.feasible));
+  w.key("pruned_points"), w.value(static_cast<std::uint64_t>(pruning.pruned));
+  w.key("feasible_points"), w.value(static_cast<std::uint64_t>(pruning.feasible));
   w.key("grids");
   w.begin_array();
   for (const auto& r : reports) {
@@ -395,11 +346,10 @@ int main() {
     w.key("ops"), w.value(static_cast<std::uint64_t>(r.ops));
     w.key("points"), w.value(static_cast<std::uint64_t>(r.points));
     w.key("exhaustive_passes"), w.value(static_cast<std::int64_t>(r.exhaustive.passes));
-    w.key("guided_passes"), w.value(static_cast<std::int64_t>(r.guided.passes));
-    w.key("pruned"), w.value(static_cast<std::uint64_t>(r.guided.pruned));
-    w.key("seeded"), w.value(static_cast<std::uint64_t>(r.guided.seeded));
+    w.key("guided_passes"), w.value(static_cast<std::int64_t>(r.pruning.passes));
+    w.key("pruned"), w.value(static_cast<std::uint64_t>(r.pruning.pruned));
     w.key("exhaustive_seconds"), w.value(r.exhaustive.seconds);
-    w.key("guided_seconds"), w.value(r.guided.seconds);
+    w.key("guided_seconds"), w.value(r.pruning.seconds);
     w.end_object();
   }
   w.end_array();
@@ -419,13 +369,6 @@ int main() {
     w.end_object();
   }
   w.end_array();
-  w.key("memory_ab");
-  w.begin_object();
-  w.key("workload"), w.value("banked_fir");
-  w.key("pools"), w.value(static_cast<std::uint64_t>(mem.pools));
-  w.key("passes_aware"), w.value(mem.passes_aware);
-  w.key("passes_blind"), w.value(mem.passes_blind);
-  w.end_object();
   w.end_object();
   std::ofstream("BENCH_explore.json") << w.str() << "\n";
   std::printf("wrote BENCH_explore.json\n");

@@ -33,7 +33,7 @@ BENCH_explore.json against its committed baseline
 (bench/baseline_explore.json). Only machine-independent metrics are
 gated — pass counts are deterministic, wall-clock is not (the bench
 itself enforces the wall-clock win at run time):
- * results_identical and pruned_only_provable must be true — the guided
+ * results_identical and pruned_only_provable must be true — the pruning
    engine may never perturb or lose a point;
  * pass_reduction_pct must clear the --min-explore-reduction floor AND
    stay within 15 points of the committed baseline (a silent collapse of
@@ -159,7 +159,7 @@ def gate_explore(current, baseline, min_reduction, failures):
         print(f"explore_guided.{flag}: {current[flag]} {status}")
         if current[flag] is not True:
             failures.append(
-                f"explore_guided: {flag} is false — the guided engine "
+                f"explore_guided: {flag} is false — the pruning engine "
                 "changed or lost a point"
             )
     cur_pct = float(current["pass_reduction_pct"])
@@ -178,7 +178,7 @@ def gate_explore(current, baseline, min_reduction, failures):
         )
     if current["guided_passes"] > current["exhaustive_passes"]:
         failures.append(
-            "explore_guided: guided engine used MORE passes than exhaustive"
+            "explore_guided: pruning engine used MORE passes than exhaustive"
         )
 
 

@@ -8,7 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/cost_model.hpp"
 #include "support/diagnostics.hpp"
 
 namespace hls::core {
@@ -112,82 +111,49 @@ std::string explore_chain_key(const ExploreConfig& cfg) {
               cfg.budget.deadline_seconds);
 }
 
-double predicted_config_cost_ns(const FlowSession& session,
-                                const ExploreConfig& cfg) {
-  CostFeatures features;
-  features.ops = session.module().thread.dfg.size();
-  features.pipelined = cfg.pipeline_ii > 0 || cfg.solve_min_ii;
-  // Recurrence *presence* prior: the region-restricted SCCs are only
-  // computed once scheduling builds its Problem, and for ordering all
-  // the model needs is whether the recurrence discount can apply.
-  features.recurrences = features.pipelined ? 1 : 0;
-  features.memory_pools =
-      cfg.memory_aware ? session.memory().arrays.size() : 0;
-  bool sdc = false;
-  switch (cfg.backend) {
-    case sched::BackendKind::kSdc: sdc = true; break;
-    case sched::BackendKind::kList: sdc = false; break;
-    case sched::BackendKind::kAuto: sdc = model_prefers_sdc(features); break;
-  }
-  return predicted_cost_ns(features, sdc);
-}
-
 namespace {
 
-/// One clock ladder: the guided engine's unit of dispatch, seed sharing
-/// and pruning.
-struct GuidedChain {
-  std::vector<std::size_t> order;  ///< config indices, loosest tclk first
-  double cost = 0;                 ///< summed predicted ns (LPT dispatch)
-  std::size_t anchor = 0;          ///< smallest config index (tie-break)
-};
+/// One clock ladder — the pruning engine's unit of dispatch and pruning:
+/// config indices, loosest tclk first.
+using Chain = std::vector<std::size_t>;
 
-std::vector<GuidedChain> build_guided_chains(
-    const FlowSession& session, const std::vector<ExploreConfig>& configs) {
-  // std::map keeps grouping deterministic; final chain order is fixed by
-  // the (cost, anchor) sort below regardless of container choice.
+std::vector<Chain> build_chains(const std::vector<ExploreConfig>& configs) {
+  // Chains are created in the order of their first config, so the stable
+  // sort at the end breaks size ties toward the chain holding the smaller
+  // config index.
   std::map<std::string, std::size_t> by_key;
-  std::vector<GuidedChain> chains;
+  std::vector<Chain> chains;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const auto [it, inserted] =
         by_key.emplace(explore_chain_key(configs[i]), chains.size());
     if (inserted) chains.emplace_back();
-    GuidedChain& chain = chains[it->second];
-    chain.order.push_back(i);
-    chain.cost += predicted_config_cost_ns(session, configs[i]);
+    chains[it->second].push_back(i);
   }
-  for (GuidedChain& chain : chains) {
-    chain.anchor = *std::min_element(chain.order.begin(), chain.order.end());
+  for (Chain& chain : chains) {
     // Loosest clock first (the cheapest end of the ladder and the
-    // dominance witness's side); equal clocks keep config order, so
-    // exact-config duplicates replay off the first occurrence.
-    std::stable_sort(chain.order.begin(), chain.order.end(),
+    // dominance witness's side); equal clocks keep config order.
+    std::stable_sort(chain.begin(), chain.end(),
                      [&](std::size_t a, std::size_t b) {
-                       if (configs[a].tclk_ps != configs[b].tclk_ps) {
-                         return configs[a].tclk_ps > configs[b].tclk_ps;
-                       }
-                       return a < b;
+                       return configs[a].tclk_ps > configs[b].tclk_ps;
                      });
   }
-  // Longest-predicted-first across chains bounds the parallel makespan
-  // (LPT); the anchor tie-break keeps the order deterministic when the
-  // model prices two chains identically.
-  std::sort(chains.begin(), chains.end(),
-            [](const GuidedChain& a, const GuidedChain& b) {
-              if (a.cost != b.cost) return a.cost > b.cost;
-              return a.anchor < b.anchor;
-            });
+  // Largest chain first bounds the parallel makespan (longest processing
+  // time first, with a point as the unit of cost).
+  std::stable_sort(chains.begin(), chains.end(),
+                   [](const Chain& a, const Chain& b) {
+                     return a.size() > b.size();
+                   });
   return chains;
 }
 
 }  // namespace
 
 std::vector<std::size_t> guided_order(
-    const FlowSession& session, const std::vector<ExploreConfig>& configs) {
+    const std::vector<ExploreConfig>& configs) {
   std::vector<std::size_t> order;
   order.reserve(configs.size());
-  for (const GuidedChain& chain : build_guided_chains(session, configs)) {
-    order.insert(order.end(), chain.order.begin(), chain.order.end());
+  for (const Chain& chain : build_chains(configs)) {
+    order.insert(order.end(), chain.begin(), chain.end());
   }
   return order;
 }
@@ -218,21 +184,18 @@ std::vector<ExplorePoint> explore(const FlowSession& session,
 
   std::vector<std::exception_ptr> errors(configs.size());
 
-  if (options.guided || options.prune) {
-    // Model-guided engine: chains are the work units. All cross-thread
-    // state is per-chain and chains never share slots, so every field of
-    // every point — including seed_use — is identical at any thread
-    // count; only dispatch overlap (wall-clock) changes.
-    const std::vector<GuidedChain> chains =
-        build_guided_chains(session, configs);
-    auto run_chain = [&](const GuidedChain& chain) {
-      sched::ScheduleSeed donor;
-      bool have_donor = false;
+  if (options.prune) {
+    // Chains are the work units. All cross-thread state is per-chain and
+    // chains never share slots, so every field of every point is
+    // identical at any thread count; only dispatch overlap (wall-clock)
+    // changes.
+    const std::vector<Chain> chains = build_chains(configs);
+    auto run_chain = [&](const Chain& chain) {
       bool have_witness = false;
       double witness_tclk = 0;
-      for (const std::size_t i : chain.order) {
+      for (const std::size_t i : chain) {
         const ExploreConfig& cfg = configs[i];
-        if (options.prune && have_witness && cfg.tclk_ps < witness_tclk) {
+        if (have_witness && cfg.tclk_ps < witness_tclk) {
           // Dominated: provable infeasibility at a looser clock on this
           // chain proves this strictly tighter point infeasible too
           // (feasibility is monotone in tclk along a chain). Synthesize
@@ -250,16 +213,8 @@ std::vector<ExplorePoint> explore(const FlowSession& session,
           continue;
         }
         try {
-          RunPointExtras extras;
-          extras.seed = have_donor ? &donor : nullptr;
-          extras.record_seed = true;
-          points[i] = run_point(session, cfg, &extras);
-          if (extras.seed_recorded) {
-            donor = std::move(extras.seed_out);
-            have_donor = true;
-          }
-          if (options.prune && !have_witness &&
-              proves_infeasibility(points[i])) {
+          points[i] = run_point(session, cfg);
+          if (!have_witness && proves_infeasibility(points[i])) {
             have_witness = true;
             witness_tclk = cfg.tclk_ps;
           }
@@ -270,7 +225,7 @@ std::vector<ExplorePoint> explore(const FlowSession& session,
       }
     };
     if (threads <= 1 || chains.size() <= 1) {
-      for (const GuidedChain& chain : chains) run_chain(chain);
+      for (const Chain& chain : chains) run_chain(chain);
     } else {
       std::atomic<std::size_t> next{0};
       auto worker = [&] {

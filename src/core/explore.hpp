@@ -8,17 +8,14 @@
 // wall-clock `sched_seconds` is identical regardless of the thread count
 // (every run schedules the same immutable compiled module).
 //
-// Model-guided mode (ExploreOptions::guided / ::prune, docs/EXPLORE.md):
-// configurations that differ only in clock period form a *chain*; chains
-// become the parallel work units, dispatched longest-predicted-first
-// (core/cost_model.hpp) for makespan, and each chain runs serially from
-// its loosest clock down, threading each success's sched::ScheduleSeed
-// into the next point. With `prune`, a provable infeasibility part-way
+// Pruning mode (ExploreOptions::prune, docs/EXPLORE.md): configurations
+// that differ only in clock period form a *chain*; chains become the
+// parallel work units, dispatched largest-first, and each chain runs
+// serially from its loosest clock down. A provable infeasibility part-way
 // down a chain skips every strictly tighter clock on that chain —
-// reported as synthetic `[explore/dominated]` points without running.
-// Either way the engine stays deterministic at every thread count, and
-// every point it does run is field-identical to the exhaustive engine's
-// (seeds never change schedules or pass counts; golden-suite enforced).
+// reported as synthetic `[explore/dominated]` points without running. The
+// engine stays deterministic at every thread count, and every point it
+// does run is field-identical to the exhaustive engine's.
 #pragma once
 
 #include <cstdint>
@@ -62,8 +59,8 @@ struct ExplorePoint {
   /// run that failed before scheduling keeps "auto".
   std::string backend;
   /// How the run used a cross-run scheduling seed, when one was offered
-  /// through RunPointExtras ("none" / "replay" / "seeded" / "miss"; see
-  /// sched::SeedUse). Plain explore() runs always report "none".
+  /// through RunPointExtras ("none" / "replay"; see sched::SeedUse).
+  /// explore() runs always report "none".
   std::string seed_use = "none";
 
   /// Constraint-system totals across the run's scheduling passes (SDC
@@ -121,31 +118,26 @@ struct ExploreOptions {
                      std::size_t total)>
       progress;
 
-  /// Model-guided execution: run the grid as clock-ladder chains
-  /// (explore_chain_key) dispatched longest-predicted-first
-  /// (predicted_config_cost_ns), each chain serially loosest-clock-first
-  /// with in-chain warm-start seed sharing. Points the engine runs are
-  /// field-identical to the exhaustive engine's except `seed_use` (which
-  /// reports the sharing) and wall-clock; the result vector stays ordered
-  /// like `configs`.
-  bool guided = false;
-  /// Infeasibility-dominance pruning (implies the guided chain engine):
-  /// once a chain point fails with a *provable* schedule-stage code
-  /// (proves_infeasibility), every strictly tighter clock on that chain
-  /// is reported as a synthetic `[explore/dominated]` point without
-  /// running. Sound because feasibility is monotone in the clock period
-  /// along a chain: a schedule found at a tight clock is valid verbatim
-  /// at a looser one (chaining slack only grows), and the deterministic
-  /// relaxation ladder preserves that monotonicity (test-enforced).
-  /// Budget/cancellation failures are not proofs and never prune.
+  /// Infeasibility-dominance pruning: run the grid as clock-ladder
+  /// chains (explore_chain_key), largest chain first, each chain serially
+  /// loosest-clock-first. Once a chain point fails with a *provable*
+  /// schedule-stage code (proves_infeasibility), every strictly tighter
+  /// clock on that chain is reported as a synthetic `[explore/dominated]`
+  /// point without running. Sound because feasibility is monotone in the
+  /// clock period along a chain: a schedule found at a tight clock is
+  /// valid verbatim at a looser one (chaining slack only grows), and the
+  /// deterministic relaxation ladder preserves that monotonicity
+  /// (test-enforced). Budget/cancellation failures are not proofs and
+  /// never prune. Points the engine runs are field-identical to the
+  /// exhaustive engine's; the result vector stays ordered like `configs`.
   bool prune = false;
 };
 
-/// Seed plumbing for run_point: lets a serving layer thread a
-/// sched::ScheduleSeed from a finished neighboring configuration into a
-/// run, and capture the run's own seed for later reuse. Exploration's
-/// determinism contract is preserved because a seed can only change pass
-/// counts, never the schedule (the driver restarts cold on a seed miss).
+/// Seed plumbing for run_point: lets a serving layer replay a
+/// sched::ScheduleSeed recorded by an earlier run of the same
+/// configuration, and capture the run's own seed for later reuse. A seed
+/// can only change pass counts, never the schedule: an exact replay is
+/// bit-exact, and any other seed is ignored.
 struct RunPointExtras {
   /// Seed to offer the scheduler (must describe the same module; the
   /// pointee must outlive the call). nullptr = cold.
@@ -184,8 +176,8 @@ std::vector<ExplorePoint> explore(
 /// curve spans a range of delays (25 configurations).
 std::vector<ExploreConfig> idct_paper_grid();
 
-// ---- Model-guided engine building blocks (shared with the serve layer
-// ---- and the guided-explore tests/bench).
+// ---- Pruning engine building blocks (shared with the serve layer and
+// ---- the pruning tests/bench).
 
 /// Failure prefix stamped on points skipped by dominance pruning.
 inline constexpr char kDominatedPrefix[] = "[explore/dominated]";
@@ -201,24 +193,14 @@ bool proves_infeasibility(const ExplorePoint& point);
 
 /// Chain (family) key: every ExploreConfig field EXCEPT the clock
 /// period, so configs with equal keys form one clock ladder — the unit
-/// of in-chain seed sharing and of dominance pruning. Pure and
-/// deterministic.
+/// of dominance pruning. Pure and deterministic.
 std::string explore_chain_key(const ExploreConfig& cfg);
 
-/// Predicted scheduling cost of one configuration in nanoseconds
-/// (core/cost_model.hpp), from features available before any run: the
-/// session's post-optimizer op count, the config's pipelining, and the
-/// memory-pool count when memory-aware. Used to ORDER work (chain
-/// dispatch, serve admission) — never to gate or alter results.
-double predicted_config_cost_ns(const FlowSession& session,
-                                const ExploreConfig& cfg);
-
-/// The guided execution order as a permutation of config indices: chains
-/// sorted by predicted cost descending (longest-processing-time-first
-/// dispatch), each chain's members loosest clock first (ties by config
-/// index). explore(guided) consumes chains directly; the serve layer
-/// reorders a job's points with this at admission.
-std::vector<std::size_t> guided_order(const FlowSession& session,
-                                      const std::vector<ExploreConfig>& configs);
+/// The pruning engine's execution order as a permutation of config
+/// indices: chains sorted by point count descending (ties by smallest
+/// config index), each chain's members loosest clock first (ties by
+/// config index). explore(prune) consumes chains directly; the serve
+/// layer reorders a prune job's points with this at admission.
+std::vector<std::size_t> guided_order(const std::vector<ExploreConfig>& configs);
 
 }  // namespace hls::core

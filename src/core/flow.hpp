@@ -78,11 +78,11 @@ struct FlowOptions {
   const support::StopSource* stop = nullptr;
 
   /// Cross-run scheduling seed (sched::ScheduleSeed) from a finished run
-  /// on the SAME module — the serve layer's trace cache feeds this.
-  /// Incompatible seeds are ignored, exact-config seeds replay bit-exact
-  /// in one pass, and neighbor seeds only track the cold ladder, so the
-  /// result is never changed by seeding (SchedulerResult::seed_use
-  /// reports what happened). The pointee must outlive the run.
+  /// on the SAME module — the serve layer's trace cache feeds this. An
+  /// exact-config seed replays bit-exact in one pass; any other seed, and
+  /// any seed offered to a budgeted run, is ignored. Seeding never
+  /// changes the result (SchedulerResult::seed_use reports what
+  /// happened). The pointee must outlive the run.
   const sched::ScheduleSeed* seed = nullptr;
   /// Record a ScheduleSeed into SchedulerResult::seed_out on success.
   bool record_seed = false;

@@ -1,6 +1,5 @@
 #include "sched/backend.hpp"
 
-#include "core/cost_model.hpp"
 #include "sched/pass_scheduler.hpp"
 #include "sched/sdc_scheduler.hpp"
 
@@ -45,36 +44,12 @@ class ListScheduler final : public SchedulerBackend {
 BackendKind resolve_backend(const Problem& problem,
                             const SchedulerOptions& options) {
   if (options.backend != BackendKind::kAuto) return options.backend;
-  if (options.legacy_auto_rule) {
-    // The pre-cost-model rule: a fixed 4096-op cap on SDC, calibrated
-    // once against an early BENCH_scheduler.json snapshot. Kept only for
-    // A/B against the fitted model below; both agree that SDC is only
-    // ever worth it on pipelined recurrences.
-    if (!problem.pipeline.enabled || problem.sccs.empty()) {
-      return BackendKind::kList;
-    }
-    constexpr std::size_t kSdcMaxOps = 4096;
-    if (problem.ops.size() > kSdcMaxOps) return BackendKind::kList;
-    return BackendKind::kSdc;
-  }
-  // Fitted-model rule (core/cost_model.hpp, coefficients regenerated by
-  // bench/fit_cost_model.py from the committed bench baselines). The
-  // list backend is cheapest per pass on feed-forward problems at every
-  // measured size and pass counts are identical across backends (shared
-  // expert ladder), so sequential and recurrence-free problems always
-  // take list. On pipelined recurrences the SDC backend's II windows
-  // move whole SCC bodies per action and — per the recurrence A/B — its
-  // per-pass overhead shrinks with size instead of growing, so the model
-  // compares predicted per-pass costs against the fitted affordability
-  // bound instead of applying the old fixed 4096-op cap. Deterministic:
-  // a pure function of (problem shape, warm_start).
-  core::CostFeatures features;
-  features.ops = problem.ops.size();
-  features.pipelined = problem.pipeline.enabled;
-  features.recurrences = problem.sccs.size();
-  features.warm_start = options.warm_start;
-  return core::model_prefers_sdc(features) ? BackendKind::kSdc
-                                           : BackendKind::kList;
+  const std::size_t limit =
+      options.warm_start ? kAutoSdcMaxOpsWarm : kAutoSdcMaxOpsCold;
+  return problem.pipeline.enabled && !problem.sccs.empty() &&
+                 problem.ops.size() <= limit
+             ? BackendKind::kSdc
+             : BackendKind::kList;
 }
 
 std::unique_ptr<SchedulerBackend> make_backend(const Problem& problem,

@@ -24,6 +24,7 @@
 // a deterministic per-problem heuristic.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 #include "sched/driver.hpp"
@@ -58,16 +59,25 @@ class SchedulerBackend {
   const SchedulerOptions& options_;
 };
 
+/// kAuto's size limits for the SDC backend, with warm starts on and off
+/// (SchedulerOptions::warm_start). They are the crossovers of the fitted
+/// per-pass cost model this rule replaced: power laws over the list and
+/// SDC size sweep (100-6400 ops, bench/baseline_scheduler.json), with an
+/// SDC discount on recurrences fitted to the list-vs-SDC A/B
+/// (recurrence_ab in bench/baseline_explore.json). That model preferred
+/// SDC exactly on pipelined problems with a recurrence and at most this
+/// many ops, at every size from 0 to 20,000 ops.
+inline constexpr std::size_t kAutoSdcMaxOpsWarm = 1165;
+inline constexpr std::size_t kAutoSdcMaxOpsCold = 256;
+
 /// Resolves `options.backend` to a concrete backend kind (never kAuto).
 /// Deterministic: a pure function of the problem shape and options, so
 /// repeated calls — and re-runs of the same configuration — always pick
-/// the same backend. The kAuto rule consults the fitted cost model
-/// (core/cost_model.hpp): list unless the problem is a pipelined
-/// recurrence whose predicted SDC per-pass cost stays within the fitted
-/// affordability bound of list's. Coefficients are fitted offline by
-/// bench/fit_cost_model.py from BENCH_scheduler.json /
-/// BENCH_explore.json; `options.legacy_auto_rule` restores the old
-/// fixed 4096-op-cap heuristic for A/B (docs/SCHEDULER.md).
+/// the same backend. kAuto picks SDC for a pipelined problem with a
+/// recurrence (an SCC inside the region) of at most kAutoSdcMaxOpsWarm
+/// ops (kAutoSdcMaxOpsCold with warm starts off), and list otherwise:
+/// the SDC II windows move whole SCC bodies per action, which
+/// feed-forward problems cannot use (docs/SCHEDULER.md).
 BackendKind resolve_backend(const Problem& problem,
                             const SchedulerOptions& options);
 

@@ -20,22 +20,11 @@ const char* seed_use_name(SeedUse use) {
   switch (use) {
     case SeedUse::kNone: return "none";
     case SeedUse::kReplay: return "replay";
-    case SeedUse::kSeeded: return "seeded";
-    case SeedUse::kMiss: return "miss";
   }
   return "?";
 }
 
 namespace {
-
-/// Whether two recorded actions are the same relaxation. Compares the
-/// semantic fields only — gain/cost are expert ranking scores that depend
-/// on the clock period and are irrelevant to what the action does.
-bool same_action(const Action& a, const Action& b) {
-  return a.kind == b.kind && a.pool == b.pool && a.amount == b.amount &&
-         a.op == b.op && a.instance == b.instance && a.scc == b.scc &&
-         a.window_start == b.window_start && a.port == b.port;
-}
 
 /// Applies one recorded seed action to the problem, translated to the
 /// target configuration. Returns false (without mutating) when the action
@@ -117,30 +106,12 @@ bool apply_seed_action(Problem& p, const Action& a, const ExpertOptions& eopts) 
 /// predecessors as before. `single_pass` returns after the first attempt,
 /// successful or not (the exact-replay contract: win in one pass or let
 /// the caller restart cold).
-///
-/// `ladder` is the neighbor-seeding protocol (docs/SCHEDULER.md). The
-/// loop runs the COLD ladder unchanged — every pass, expert decision,
-/// and relaxation is exactly what an unseeded run performs, so a
-/// neighbor seed can NEVER change the result — while comparing each
-/// relaxation against the donor's recorded recipe. A solve whose ladder
-/// matched the donor's recipe end to end reports SeedUse::kSeeded (the
-/// donor predicted this solve: the next submission of this exact
-/// configuration will replay in one pass); any divergence reports kMiss.
-///
-/// Skipping ladder passes outright would be unsound here: each expert
-/// decision is a function of the previous pass's restraint set, which
-/// depends on the clock period, so a donor recipe from a neighboring
-/// tclk can over- or under-relax relative to this configuration's cold
-/// ladder and land on a different (valid but non-canonical) schedule.
-/// Only the exact-configuration path (schedule_region) skips passes,
-/// where the warm ≡ cold replay guarantee makes it bit-exact.
 SchedulerResult run_relaxation_loop(
     Problem& p, const ir::Dfg& dfg, timing::TimingEngine& eng,
     SchedulerBackend& backend, const SchedulerOptions& options,
     const ExpertOptions& eopts, const PassTrace* initial_trace,
-    int initial_frontier, bool single_pass, const ScheduleSeed* ladder,
-    std::vector<PassRecord> history, std::vector<Action>* applied_out,
-    support::Budget& budget) {
+    int initial_frontier, bool single_pass, std::vector<PassRecord> history,
+    std::vector<Action>* applied_out, support::Budget& budget) {
   const bool warm_startable = options.warm_start && backend.warm_startable();
   // A work-unit pass budget tightens the option cap; exhaustion of either
   // reports the same dedicated code at the loop's end.
@@ -154,29 +125,12 @@ SchedulerResult run_relaxation_loop(
   result.backend = backend.kind();
   result.history = std::move(history);
 
-  // Ladder-following state: how far the cold ladder has tracked the
-  // donor's recipe.
-  bool following = ladder != nullptr;
-  std::size_t ladder_pos = 0;
-  // Every action the loop applies flows through here so seed recording
-  // and ladder matching cannot drift apart.
+  // Every action the loop applies is recorded for the seed it may write.
   auto note_applied = [&](const Action& a) {
     if (applied_out != nullptr) applied_out->push_back(a);
-    if (following) {
-      if (ladder_pos < ladder->actions.size() &&
-          same_action(a, ladder->actions[ladder_pos])) {
-        ++ladder_pos;
-      } else {
-        following = false;
-      }
-    }
   };
 
   auto finish_success = [&](PassOutcome&& outcome, PassRecord&& rec) {
-    if (following && ladder_pos == ladder->actions.size() &&
-        p.num_steps == ladder->num_steps) {
-      result.seed_use = SeedUse::kSeeded;
-    }
     result.history.push_back(std::move(rec));
     result.success = true;
     result.schedule = std::move(outcome.schedule);
@@ -318,7 +272,7 @@ SchedulerResult run_relaxation_loop(
     }
     if (single_pass) {
       result.history.push_back(std::move(rec));
-      result.failure_reason = "seeded pass failed";
+      result.failure_reason = "replayed pass failed";
       result.timing_queries = eng.queries();
       return result;
     }
@@ -352,8 +306,8 @@ SchedulerResult run_relaxation_loop(
 }
 
 /// One full scheduling run at a FIXED configuration (the entire former
-/// schedule_region): problem construction, recurrence bound, seeding,
-/// and the relaxation loop. The public schedule_region either forwards
+/// schedule_region): problem construction, recurrence bound, exact-config
+/// replay, and the relaxation loop. The public schedule_region either forwards
 /// here directly or, under options.solve_min_ii, drives this once per
 /// candidate II.
 SchedulerResult schedule_region_impl(const ir::Dfg& dfg,
@@ -412,8 +366,8 @@ SchedulerResult schedule_region_impl(const ir::Dfg& dfg,
   std::vector<Action> applied;
   std::vector<Action>* applied_out =
       options.record_seed ? &applied : nullptr;
-  // One budget for the whole run: a failed seed-replay attempt's work
-  // counts against the cold restart that follows it.
+  // One budget for the whole run: a failed replay attempt's work counts
+  // in the totals of the cold solve that follows it.
   support::Budget budget(options.budget, options.stop);
   auto stamp_seed = [&](SchedulerResult& result) {
     if (options.record_seed && result.success) {
@@ -423,29 +377,22 @@ SchedulerResult schedule_region_impl(const ir::Dfg& dfg,
     result.relax_steps = budget.relax_steps();
   };
 
-  // ---- Cross-run seeding -----------------------------------------------
-  // Exact-config seeds replay the donor's final pass wholesale (bit-exact
-  // by the warm ≡ cold guarantee: a successful trace has no fatal events,
-  // so a full replay re-derives the identical schedule). Neighbor seeds
-  // (same module/II/latency, different tclk) go through the
-  // ladder-following protocol inside run_relaxation_loop — pass 1 always
-  // runs cold, and the jump fires only once the cold ladder agrees with
-  // the donor recipe, so a seed changes pass counts but is designed never
-  // to change the result (pinned by the serve golden suite).
-  // A budgeted run ignores its seed as if none were offered: a replay
-  // would finish in one pass where the cold solve exhausts the budget,
-  // and the budget verdict must not depend on which seeds a cache held.
-  const ScheduleSeed* seed =
-      options.budget.unlimited() ? options.seed : nullptr;
-  const bool seed_shape_ok =
-      seed != nullptr && options.warm_start && backend->warm_startable() &&
-      seed->backend == backend->kind() &&
+  // ---- Exact-config replay ---------------------------------------------
+  // A seed recorded under this exact configuration replays the donor's
+  // final pass wholesale (bit-exact by the warm ≡ cold guarantee: a
+  // successful trace has no fatal events, so a full replay re-derives the
+  // identical schedule). Any other seed is ignored, and so is every seed
+  // of a budgeted run: a replay would finish in one pass where the cold
+  // solve exhausts the budget, and the budget verdict must not depend on
+  // which seeds a cache held.
+  const ScheduleSeed* seed = options.seed;
+  if (seed != nullptr && options.budget.unlimited() && options.warm_start &&
+      backend->warm_startable() && seed->backend == backend->kind() &&
       seed->pipelined == p.pipeline.enabled &&
-      (!p.pipeline.enabled || seed->ii == p.pipeline.ii);
-
-  if (seed_shape_ok && seed->tclk_ps == options.tclk_ps) {
-    // Exact configuration: re-apply the recorded recipe up front and
-    // replay the donor's final pass in full.
+      (!p.pipeline.enabled || seed->ii == p.pipeline.ii) &&
+      seed->tclk_ps == options.tclk_ps) {
+    // Re-apply the recorded recipe up front and replay the donor's final
+    // pass in full.
     Problem pristine = p;
     bool transferred = true;
     for (const Action& a : seed->actions) {
@@ -471,42 +418,22 @@ SchedulerResult schedule_region_impl(const ir::Dfg& dfg,
       seeded_history.push_back(std::move(rec));
       SchedulerResult replayed = run_relaxation_loop(
           p, dfg, eng, *backend, options, eopts, &seed->final_trace,
-          p.num_steps, /*single_pass=*/true, nullptr,
-          std::move(seeded_history), applied_out, budget);
+          p.num_steps, /*single_pass=*/true, std::move(seeded_history),
+          applied_out, budget);
       if (replayed.success) {
         replayed.seed_use = SeedUse::kReplay;
         stamp_seed(replayed);
         return replayed;
       }
     }
+    // Replay impossible or failed: solve cold from the pristine problem.
     p = std::move(pristine);
     if (applied_out != nullptr) applied_out->clear();
-    // Replay impossible or failed: solve cold from the pristine problem,
-    // still offering the recipe to the ladder protocol (the donor state
-    // may schedule even when the decision trace no longer transfers).
-    std::vector<PassRecord> miss_history;
-    PassRecord miss;
-    miss.pass_number = 0;
-    miss.num_steps = p.num_steps;
-    miss.success = false;
-    miss.action = "seed: exact replay unavailable, solving cold";
-    miss_history.push_back(std::move(miss));
-    SchedulerResult cold = run_relaxation_loop(
-        p, dfg, eng, *backend, options, eopts, nullptr, 0,
-        /*single_pass=*/false, seed, std::move(miss_history), applied_out,
-        budget);
-    if (cold.seed_use == SeedUse::kNone) cold.seed_use = SeedUse::kMiss;
-    stamp_seed(cold);
-    return cold;
   }
 
   SchedulerResult result = run_relaxation_loop(
       p, dfg, eng, *backend, options, eopts, nullptr, 0,
-      /*single_pass=*/false, seed_shape_ok ? seed : nullptr, {},
-      applied_out, budget);
-  if (seed != nullptr && result.seed_use == SeedUse::kNone) {
-    result.seed_use = SeedUse::kMiss;
-  }
+      /*single_pass=*/false, {}, applied_out, budget);
   stamp_seed(result);
   return result;
 }

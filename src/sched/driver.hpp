@@ -28,26 +28,13 @@ const char* backend_name(BackendKind kind);
 
 /// A finished run's transferable scheduling state, recorded when
 /// SchedulerOptions::record_seed is on and replayed into a later run via
-/// SchedulerOptions::seed. Two levels of reuse:
-///
-///  * Exact replay — the seed came from the *same* module under the
-///    *same* configuration (tclk, II, latency, backend, feature
-///    switches). The recorded relaxations are re-applied up front and the
-///    final pass replays in full through the PR-5 warm-start path, so the
-///    run completes in one pass with near-zero timing queries. Bit-exact
-///    by the warm ≡ cold guarantee.
-///  * Neighbor seeding — the seed came from an adjacent design-space
-///    point (same module/II/latency, neighboring tclk). The solve runs
-///    the cold relaxation ladder UNCHANGED — every expert decision
-///    depends on the previous pass's restraint set, which depends on the
-///    clock period, so skipping ladder passes on a neighbor's recipe
-///    could land on a different (valid but non-canonical) schedule. The
-///    donor recipe is instead matched against the ladder as it unfolds:
-///    a full match reports SeedUse::kSeeded (the donor predicted this
-///    solve; an exact-config resubmission will replay in one pass), any
-///    divergence reports kMiss. Neighbor seeds therefore never change
-///    results OR pass counts; the serve-layer golden suite pins
-///    seeded ≡ cold over the workload suite grid on both backends.
+/// SchedulerOptions::seed. A seed is only ever used for an exact replay:
+/// it must come from the *same* module under the *same* configuration
+/// (tclk, II, latency, backend, feature switches). The recorded
+/// relaxations are re-applied up front and the final pass replays in full
+/// through the warm-start path, so the run completes in one pass with
+/// near-zero timing queries. Bit-exact by the warm ≡ cold guarantee. Any
+/// other seed is ignored.
 struct ScheduleSeed {
   // Donor configuration, checked by the compatibility rules.
   double tclk_ps = 0;
@@ -62,12 +49,10 @@ struct ScheduleSeed {
   PassTrace final_trace;
 };
 
-/// How a run used (or ignored) SchedulerOptions::seed.
+/// How a run used SchedulerOptions::seed.
 enum class SeedUse : std::uint8_t {
-  kNone,    ///< no seed offered
+  kNone,    ///< solved cold: no seed offered, or the seed was ignored
   kReplay,  ///< exact-config seed: final pass replayed wholesale
-  kSeeded,  ///< neighbor seed's recipe matched the cold ladder end to end
-  kMiss,    ///< seed incompatible, replay failed, or recipe diverged
 };
 const char* seed_use_name(SeedUse use);
 
@@ -127,9 +112,10 @@ struct SchedulerOptions {
   const mem::MemorySpec* memory = nullptr;
 
   /// Cross-run seed (see ScheduleSeed). Must describe the same module;
-  /// incompatible seeds are ignored (SeedUse::kMiss reports why not). A
-  /// run with a budget (budget not unlimited()) ignores its seed as if
-  /// none were offered: a replay would let a cache decide the verdict.
+  /// a seed from another configuration, or one whose replay fails, is
+  /// ignored and the run solves cold (SeedUse::kNone). So is any seed
+  /// offered to a run with a budget (budget not unlimited()): a replay
+  /// would let a cache decide the budget verdict.
   const ScheduleSeed* seed = nullptr;
   /// Record a ScheduleSeed for this run into SchedulerResult::seed_out on
   /// success (costs one trace copy per run; off by default).
@@ -152,12 +138,6 @@ struct SchedulerOptions {
   /// across encodings (golden-suite enforced); this switch exists for
   /// that A/B and as a reference implementation, not for production use.
   bool sdc_pairwise_ii = false;
-
-  /// Resolve kAuto with the legacy fixed-threshold rule (pipelined
-  /// recurrences up to 4096 ops take SDC) instead of the fitted cost
-  /// model (core/cost_model.hpp). Kept for A/B against the model-guided
-  /// rule; see docs/SCHEDULER.md for the crossover data behind both.
-  bool legacy_auto_rule = false;
 };
 
 struct PassRecord {
@@ -207,7 +187,7 @@ struct SchedulerResult {
   std::uint64_t engine_commits = 0;
   std::uint64_t relax_steps = 0;
 
-  /// How the offered seed was used (kNone when none was offered).
+  /// How the offered seed was used (kNone unless it replayed).
   SeedUse seed_use = SeedUse::kNone;
   /// Recorded transferable state (only when options.record_seed and the
   /// run succeeded); what the serve layer's trace cache stores.

@@ -47,15 +47,12 @@ struct JobRequest {
   /// Work-unit exhaustion is deterministic: the same point fails with the
   /// same [schedule/budget_exhausted] line at every thread count.
   support::BudgetLimits budget = {};
-  /// Model-guided point ordering ("guided": true): the job's points are
-  /// reordered at admission with core::guided_order — clock-ladder
-  /// chains, most-expensive-predicted chain first, each chain loosest
-  /// clock first — so the stream's point indices refer to the REORDERED
-  /// list (docs/SERVE.md). Deterministic: a pure function of the job.
-  bool guided = false;
-  /// Infeasibility-dominance pruning ("prune": true, implies guided
-  /// ordering): once a point fails with a provable schedule-stage code,
-  /// strictly tighter clocks on the same chain are emitted as synthetic
+  /// Infeasibility-dominance pruning ("prune": true): the job's points
+  /// are reordered at admission with core::guided_order — clock-ladder
+  /// chains, largest chain first, each chain loosest clock first — so the
+  /// stream's point indices refer to the REORDERED list (docs/SERVE.md).
+  /// Once a point fails with a provable schedule-stage code, strictly
+  /// tighter clocks on the same chain are emitted as synthetic
   /// [explore/dominated] lines without being scheduled.
   bool prune = false;
 };

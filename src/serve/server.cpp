@@ -48,12 +48,9 @@ std::string ServeStats::to_json() const {
   w.key("session_evictions"), w.value(session_evictions);
   w.key("trace_lookups"), w.value(trace_lookups);
   w.key("trace_exact_hits"), w.value(trace_exact_hits);
-  w.key("trace_neighbor_hits"), w.value(trace_neighbor_hits);
   w.key("trace_misses"), w.value(trace_misses);
   w.key("trace_evictions"), w.value(trace_evictions);
   w.key("seed_replays"), w.value(seed_replays);
-  w.key("seed_wins"), w.value(seed_wins);
-  w.key("seed_misses"), w.value(seed_misses);
   w.key("total_passes"), w.value(total_passes);
   w.key("jobs_shed"), w.value(jobs_shed);
   w.key("jobs_cancelled"), w.value(jobs_cancelled);
@@ -73,12 +70,10 @@ struct Server::ActiveJob {
   bool session_hit = false;
   std::size_t next_point = 0;
   std::uint64_t failures = 0;
-  // Per-job seed tallies, bumped only in the barrier commit loop so the
-  // counts (like every other emitted field) are identical serial vs
+  // Per-job replay tally, bumped only in the barrier commit loop so the
+  // count (like every other emitted field) is identical serial vs
   // threaded.
   std::uint64_t seed_replays = 0;
-  std::uint64_t seed_seeded = 0;
-  std::uint64_t seed_misses = 0;
   /// Points emitted as cancelled placeholders (cancel() or drain stop).
   std::uint64_t cancelled_points = 0;
   /// Points skipped by dominance pruning (req.prune jobs only).
@@ -251,8 +246,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
       w.key("pruned"), w.value(aj.pruned_points);
     }
     w.key("seed_replays"), w.value(aj.seed_replays);
-    w.key("seed_seeded"), w.value(aj.seed_seeded);
-    w.key("seed_misses"), w.value(aj.seed_misses);
     w.key("session_cache_hit"), w.value(aj.session_hit);
     w.key("module"), w.value(hex64(aj.module_hash));
     w.end_object();
@@ -405,14 +398,14 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
       aj.session = std::move(acq.session);
       aj.module_hash = acq.module_hash;
       aj.session_hit = acq.cache_hit;
-      if (aj.req.guided || aj.req.prune) {
-        // Model-guided admission: reorder the job's points into chain
-        // order (core::guided_order) once, deterministically — the
-        // stream's point indices refer to this reordered list
-        // (docs/SERVE.md). Chains also put each ladder's loosest clock
-        // first, which is what makes the prune witnesses below sound.
+      if (aj.req.prune) {
+        // Reorder the job's points into chain order (core::guided_order)
+        // once, deterministically — the stream's point indices refer to
+        // this reordered list (docs/SERVE.md). Chains put each ladder's
+        // loosest clock first, which is what makes the prune witnesses
+        // below sound.
         const std::vector<std::size_t> order =
-            core::guided_order(*aj.session, aj.req.points);
+            core::guided_order(aj.req.points);
         std::vector<core::ExploreConfig> reordered;
         reordered.reserve(order.size());
         for (const std::size_t p : order) {
@@ -484,12 +477,11 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
         item.key =
             TraceKey{aj.module_hash,
                      item.cfg->solve_min_ii ? -1 : item.cfg->pipeline_ii,
-                     item.cfg->latency, item.cfg->backend};
+                     item.cfg->latency, item.cfg->backend,
+                     item.cfg->tclk_ps};
         if (options_.trace_cache) {
-          const TraceCache::Hit hit =
-              traces_.lookup(item.key, item.cfg->tclk_ps);
-          if (hit.seed != nullptr) {
-            item.seed = *hit.seed;
+          if (const sched::ScheduleSeed* seed = traces_.lookup(item.key)) {
+            item.seed = *seed;
             item.has_seed = true;
           }
         }
@@ -563,14 +555,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
         ++stats_.seed_replays;
         ++owner.seed_replays;
       }
-      if (item.pt.seed_use == "seeded") {
-        ++stats_.seed_wins;
-        ++owner.seed_seeded;
-      }
-      if (item.pt.seed_use == "miss") {
-        ++stats_.seed_misses;
-        ++owner.seed_misses;
-      }
       if (!item.pt.feasible) {
         ++stats_.points_failed;
         ++owner.failures;
@@ -627,7 +611,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
   stats_.session_evictions = sessions_.evictions();
   stats_.trace_lookups = traces_.lookups();
   stats_.trace_exact_hits = traces_.exact_hits();
-  stats_.trace_neighbor_hits = traces_.neighbor_hits();
   stats_.trace_misses = traces_.misses();
   stats_.trace_evictions = traces_.evictions();
   if (options_.emit_stats) sink(stats_.to_json());

@@ -1,15 +1,13 @@
-// Tests for model-guided best-first exploration (docs/EXPLORE.md):
-//  * guided + prune is result-identical to the exhaustive engine for
-//    every point it runs, at every thread count and config order;
+// Tests for the pruning explore engine (docs/EXPLORE.md):
+//  * prune is result-identical to the exhaustive engine for every point
+//    it runs, at every thread count and config order;
 //  * dominance pruning only ever skips points a looser clock on the same
 //    chain PROVED infeasible — budget/cancellation codes never prune, so
 //    feasible points behind a budget failure are never lost;
-//  * in-chain warm-start seed sharing is reported per point (seed_use)
-//    and never changes schedules or pass counts;
-//  * the guided order and the per-config cost predictions are pure and
-//    deterministic, chains loosest-clock-first;
-//  * resolve_backend's fitted-model rule vs the legacy fixed-cap rule;
-//  * the serve layer's guided/prune path stays byte-deterministic.
+//  * the chain order is pure and deterministic: largest chain first,
+//    each chain loosest-clock-first;
+//  * resolve_backend's kAuto rule and its two size limits;
+//  * the serve layer's prune path stays byte-deterministic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/cost_model.hpp"
 #include "core/explore.hpp"
 #include "core/session.hpp"
 #include "sched/backend.hpp"
@@ -27,11 +24,9 @@
 namespace hls::core {
 namespace {
 
-// Everything except the wall-clock field. `ignore_seed_use` drops the
-// one field the guided engine is allowed to change vs exhaustive (it
-// reports in-chain sharing; exhaustive always says "none").
+// Everything except the wall-clock field.
 void expect_point_eq(const ExplorePoint& a, const ExplorePoint& b,
-                     bool ignore_seed_use, const std::string& what) {
+                     const std::string& what) {
   EXPECT_EQ(a.curve, b.curve) << what;
   EXPECT_EQ(a.tclk_ps, b.tclk_ps) << what;
   EXPECT_EQ(a.latency, b.latency) << what;
@@ -46,9 +41,7 @@ void expect_point_eq(const ExplorePoint& a, const ExplorePoint& b,
   EXPECT_EQ(a.passes, b.passes) << what;
   EXPECT_EQ(a.relaxations, b.relaxations) << what;
   EXPECT_EQ(a.backend, b.backend) << what;
-  if (!ignore_seed_use) {
-    EXPECT_EQ(a.seed_use, b.seed_use) << what;
-  }
+  EXPECT_EQ(a.seed_use, b.seed_use) << what;
   EXPECT_EQ(a.constraint_edges, b.constraint_edges) << what;
   EXPECT_EQ(a.propagation_relaxations, b.propagation_relaxations) << what;
   EXPECT_EQ(a.memory_restraints, b.memory_restraints) << what;
@@ -73,8 +66,7 @@ void ladder(std::vector<ExploreConfig>* grid, const char* curve, int latency,
 }
 
 // fir16: a tight-latency ladder that exhausts the relaxation ladder
-// (provable, pass-bearing — the prunable regime) plus a feasible ladder
-// (the in-chain seeding regime).
+// (provable, pass-bearing — the prunable regime) plus a feasible ladder.
 std::vector<ExploreConfig> mixed_grid() {
   std::vector<ExploreConfig> grid;
   ladder(&grid, "exhaust", 2, 0, {1300, 1600, 1850, 2200});
@@ -90,27 +82,25 @@ TEST(GuidedExplore, MatchesExhaustiveAtEveryThreadCount) {
   for (int threads : {1, 2, 4, 0}) {
     ExploreOptions o;
     o.threads = threads;
-    o.guided = true;
     o.prune = true;
-    const auto guided = explore(session, grid, o);
-    ASSERT_EQ(guided.size(), grid.size());
+    const auto pts = explore(session, grid, o);
+    ASSERT_EQ(pts.size(), grid.size());
     std::size_t pruned = 0;
     for (std::size_t i = 0; i < grid.size(); ++i) {
       const std::string what =
           grid[i].curve + " tclk=" + std::to_string(grid[i].tclk_ps) +
           " threads=" + std::to_string(threads);
-      if (dominated(guided[i])) {
+      if (dominated(pts[i])) {
         ++pruned;
         // A skipped point must be one the exhaustive engine also found
         // infeasible — pruning may never lose a feasible point.
         EXPECT_FALSE(exhaustive[i].feasible) << what;
-        EXPECT_FALSE(guided[i].feasible) << what;
-        EXPECT_FALSE(guided[i].cancelled) << what;
-        EXPECT_EQ(guided[i].passes, 0) << what;
+        EXPECT_FALSE(pts[i].feasible) << what;
+        EXPECT_FALSE(pts[i].cancelled) << what;
+        EXPECT_EQ(pts[i].passes, 0) << what;
         continue;
       }
-      expect_point_eq(guided[i], exhaustive[i], /*ignore_seed_use=*/true,
-                      what);
+      expect_point_eq(pts[i], exhaustive[i], what);
     }
     EXPECT_GT(pruned, 0u) << "the exhaustion ladder must actually prune";
   }
@@ -120,7 +110,6 @@ TEST(GuidedExplore, ThreadCountsProduceIdenticalVectors) {
   const FlowSession session(workloads::make_fir(16));
   const auto grid = mixed_grid();
   ExploreOptions serial;
-  serial.guided = true;
   serial.prune = true;
   const auto base = explore(session, grid, serial);
   for (int threads : {2, 4, 0}) {
@@ -129,8 +118,7 @@ TEST(GuidedExplore, ThreadCountsProduceIdenticalVectors) {
     const auto pts = explore(session, grid, o);
     ASSERT_EQ(pts.size(), base.size());
     for (std::size_t i = 0; i < base.size(); ++i) {
-      // Including seed_use: in-chain sharing is deterministic too.
-      expect_point_eq(pts[i], base[i], /*ignore_seed_use=*/false,
+      expect_point_eq(pts[i], base[i],
                       "threads=" + std::to_string(threads) + " point " +
                           std::to_string(i));
     }
@@ -141,7 +129,6 @@ TEST(GuidedExplore, ShuffledConfigOrderYieldsSamePerConfigResults) {
   const FlowSession session(workloads::make_fir(16));
   const auto grid = mixed_grid();
   ExploreOptions o;
-  o.guided = true;
   o.prune = true;
   const auto base = explore(session, grid, o);
 
@@ -155,7 +142,7 @@ TEST(GuidedExplore, ShuffledConfigOrderYieldsSamePerConfigResults) {
     const auto pts = explore(session, shuffled, o);
     ASSERT_EQ(pts.size(), perm.size());
     for (std::size_t at = 0; at < perm.size(); ++at) {
-      expect_point_eq(pts[at], base[perm[at]], /*ignore_seed_use=*/false,
+      expect_point_eq(pts[at], base[perm[at]],
                       "round " + std::to_string(round) + " config " +
                           std::to_string(perm[at]));
     }
@@ -172,23 +159,22 @@ TEST(GuidedExplore, BudgetFailuresNeverPruneFeasibleTighterPoints) {
   ladder(&grid, "ii2", 0, 2, {1300, 1450, 1600, 1850, 2200});
   const auto exhaustive = explore(session, grid, {});
   ExploreOptions o;
-  o.guided = true;
   o.prune = true;
-  const auto guided = explore(session, grid, o);
-  ASSERT_EQ(guided.size(), grid.size());
+  const auto pts = explore(session, grid, o);
+  ASSERT_EQ(pts.size(), grid.size());
   bool saw_budget_failure = false, saw_feasible_below_it = false;
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    EXPECT_EQ(guided[i].feasible, exhaustive[i].feasible)
+    EXPECT_EQ(pts[i].feasible, exhaustive[i].feasible)
         << "tclk=" << grid[i].tclk_ps;
     if (!exhaustive[i].feasible &&
         exhaustive[i].failure.find("budget") != std::string::npos) {
       saw_budget_failure = true;
-      EXPECT_FALSE(dominated(guided[i])) << "budget failures are not proofs";
+      EXPECT_FALSE(dominated(pts[i])) << "budget failures are not proofs";
       for (std::size_t j = 0; j < grid.size(); ++j) {
         if (grid[j].tclk_ps < grid[i].tclk_ps && exhaustive[j].feasible) {
           saw_feasible_below_it = true;
-          EXPECT_TRUE(guided[j].feasible) << "tclk=" << grid[j].tclk_ps;
-          EXPECT_FALSE(dominated(guided[j]));
+          EXPECT_TRUE(pts[j].feasible) << "tclk=" << grid[j].tclk_ps;
+          EXPECT_FALSE(dominated(pts[j]));
         }
       }
     }
@@ -206,7 +192,6 @@ TEST(GuidedExplore, DominatedPointsSitStrictlyBelowAProvableWitness) {
   std::vector<ExploreConfig> grid;
   ladder(&grid, "exhaust", 2, 0, {1300, 1450, 1600, 1850, 2200});
   ExploreOptions o;
-  o.guided = true;
   o.prune = true;
   const auto pts = explore(session, grid, o);
   // The loosest clock runs and proves infeasibility; everything tighter
@@ -228,81 +213,18 @@ TEST(GuidedExplore, DominatedPointsSitStrictlyBelowAProvableWitness) {
   }
 }
 
-TEST(GuidedExplore, InChainSeedSharingIsReportedPerPoint) {
-  const FlowSession session(workloads::make_dct8());
-  std::vector<ExploreConfig> grid;
-  ladder(&grid, "feasible", 16, 0, {1450, 1700, 1950, 2200});
-  const auto exhaustive = explore(session, grid, {});
-  for (const auto& p : exhaustive) EXPECT_EQ(p.seed_use, "none");
-  ExploreOptions o;
-  o.guided = true;
-  const auto guided = explore(session, grid, o);
-  // The chain runs loosest-first, so 2200 solves cold and the tighter
-  // points get its recipe offered; at least one must track it fully.
-  EXPECT_EQ(guided.back().seed_use, "none");
-  EXPECT_NE(std::count_if(
-                guided.begin(), guided.end(),
-                [](const ExplorePoint& p) { return p.seed_use == "seeded"; }),
-            0);
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    expect_point_eq(guided[i], exhaustive[i], /*ignore_seed_use=*/true,
-                    "tclk=" + std::to_string(grid[i].tclk_ps));
-  }
-}
-
-TEST(GuidedExplore, DuplicateConfigsCollapseToExactReplay) {
-  const FlowSession session(workloads::make_fir(16));
-  std::vector<ExploreConfig> grid;
-  ladder(&grid, "feasible", 16, 0, {1600, 1600});
-  ExploreOptions o;
-  o.guided = true;
-  const auto pts = explore(session, grid, o);
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_EQ(pts[0].seed_use, "none");
-  EXPECT_EQ(pts[1].seed_use, "replay");
-  EXPECT_EQ(pts[1].passes, 1);
-  // The replay is bit-exact, so everything non-volatile matches.
-  EXPECT_TRUE(pts[1].feasible);
-  EXPECT_EQ(pts[0].delay_ns, pts[1].delay_ns);
-  EXPECT_EQ(pts[0].area, pts[1].area);
-}
-
 TEST(GuidedExplore, GuidedOrderIsDeterministicAndLoosestClockFirst) {
-  const FlowSession session(workloads::make_fir(16));
-  const auto grid = mixed_grid();
-  const auto order = guided_order(session, grid);
-  EXPECT_EQ(order, guided_order(session, grid));
-  ASSERT_EQ(order.size(), grid.size());
-  std::vector<bool> seen(grid.size(), false);
-  for (std::size_t i : order) {
-    ASSERT_LT(i, grid.size());
-    EXPECT_FALSE(seen[i]) << "guided_order must be a permutation";
-    seen[i] = true;
-  }
-  // Within a chain, clocks descend (ties broken by config index).
-  std::size_t prev = grid.size();
-  for (std::size_t i : order) {
-    if (prev != grid.size() &&
-        explore_chain_key(grid[prev]) == explore_chain_key(grid[i])) {
-      EXPECT_GE(grid[prev].tclk_ps, grid[i].tclk_ps);
-    }
-    prev = i;
-  }
-}
-
-TEST(GuidedExplore, PredictedCostIsPositiveAndScalesWithBackend) {
-  const FlowSession session(workloads::make_fir(16));
-  ExploreConfig seq;
-  seq.tclk_ps = 1600;
-  seq.latency = 16;
-  EXPECT_GT(predicted_config_cost_ns(session, seq), 0.0);
-  EXPECT_EQ(predicted_config_cost_ns(session, seq),
-            predicted_config_cost_ns(session, seq));
-  ExploreConfig sdc = seq;
-  sdc.backend = sched::BackendKind::kSdc;
-  EXPECT_GT(predicted_config_cost_ns(session, sdc),
-            predicted_config_cost_ns(session, seq))
-      << "SDC predicts dearer than list on a feed-forward problem";
+  // Three chains of 2, 4 and 4 points, interleaved and unsorted.
+  std::vector<ExploreConfig> grid;
+  ladder(&grid, "short", 16, 0, {1600, 2200});
+  ladder(&grid, "exhaust", 2, 0, {1300, 2200, 1600, 1850});
+  ladder(&grid, "feasible", 16, 0, {1850, 1450, 2200, 1600});
+  const auto order = guided_order(grid);
+  EXPECT_EQ(order, guided_order(grid));
+  // Largest chain first, equal sizes by smallest config index; within a
+  // chain, clocks descend.
+  const std::vector<std::size_t> expected = {3, 5, 4, 2, 8, 6, 9, 7, 1, 0};
+  EXPECT_EQ(order, expected);
 }
 
 TEST(GuidedExplore, ProvesInfeasibilityAcceptsOnlyProvableCodes) {
@@ -352,7 +274,7 @@ TEST(GuidedExplore, ConstraintTotalsSurfacePerPoint) {
 }  // namespace
 }  // namespace hls::core
 
-// ---- resolve_backend: fitted model vs legacy fixed cap ---------------------
+// ---- resolve_backend: the kAuto rule ---------------------------------------
 
 namespace hls::sched {
 namespace {
@@ -365,10 +287,17 @@ Problem shaped_problem(std::size_t ops, bool pipelined, std::size_t sccs) {
   return p;
 }
 
+SchedulerOptions auto_options(bool warm_start) {
+  SchedulerOptions o;
+  o.backend = BackendKind::kAuto;
+  o.warm_start = warm_start;
+  return o;
+}
+
+// "Both rules": the warm-start and the cold size limit.
 TEST(ResolveBackend, ExplicitChoicePassesThroughBothRules) {
-  for (bool legacy : {false, true}) {
-    SchedulerOptions o;
-    o.legacy_auto_rule = legacy;
+  for (bool warm : {false, true}) {
+    SchedulerOptions o = auto_options(warm);
     o.backend = BackendKind::kSdc;
     EXPECT_EQ(resolve_backend(shaped_problem(64, false, 0), o),
               BackendKind::kSdc);
@@ -379,65 +308,55 @@ TEST(ResolveBackend, ExplicitChoicePassesThroughBothRules) {
 }
 
 TEST(ResolveBackend, BothRulesKeepListForSequentialAndFeedForward) {
-  for (bool legacy : {false, true}) {
-    SchedulerOptions o;
-    o.backend = BackendKind::kAuto;
-    o.legacy_auto_rule = legacy;
+  for (bool warm : {false, true}) {
+    const SchedulerOptions o = auto_options(warm);
     // Sequential, and pipelined-but-recurrence-free: SDC buys nothing.
-    EXPECT_EQ(resolve_backend(shaped_problem(500, false, 0), o),
-              BackendKind::kList)
-        << "legacy=" << legacy;
-    EXPECT_EQ(resolve_backend(shaped_problem(500, true, 0), o),
-              BackendKind::kList)
-        << "legacy=" << legacy;
+    for (std::size_t ops : {std::size_t{1}, std::size_t{64}}) {
+      EXPECT_EQ(resolve_backend(shaped_problem(ops, false, 0), o),
+                BackendKind::kList)
+          << "warm=" << warm;
+      EXPECT_EQ(resolve_backend(shaped_problem(ops, false, 2), o),
+                BackendKind::kList)
+          << "warm=" << warm;
+      EXPECT_EQ(resolve_backend(shaped_problem(ops, true, 0), o),
+                BackendKind::kList)
+          << "warm=" << warm;
+    }
   }
 }
 
 TEST(ResolveBackend, ModelPrefersSdcOnWarmPipelinedRecurrences) {
-  SchedulerOptions o;
-  o.backend = BackendKind::kAuto;
-  ASSERT_FALSE(o.legacy_auto_rule);
-  ASSERT_TRUE(o.warm_start);
-  // Small and mid-size recurrence problems sit well inside the fitted
-  // affordability bound. Deliberately far from the model's crossover —
-  // the exact crossover is a fit artifact that moves on re-fit, so it
-  // is documentation (docs/SCHEDULER.md), not a test invariant.
+  const SchedulerOptions o = auto_options(true);
+  // Small and mid-size recurrence problems sit well inside the warm limit
+  // (the crossover of the fitted model the rule replaced).
   EXPECT_EQ(resolve_backend(shaped_problem(64, true, 1), o),
             BackendKind::kSdc);
   EXPECT_EQ(resolve_backend(shaped_problem(400, true, 3), o),
             BackendKind::kSdc);
 }
 
-TEST(ResolveBackend, LegacyRuleKeepsItsFixedCap) {
-  SchedulerOptions o;
-  o.backend = BackendKind::kAuto;
-  o.legacy_auto_rule = true;
-  EXPECT_EQ(resolve_backend(shaped_problem(4096, true, 2), o),
+TEST(ResolveBackend, WarmLimitIs1165Ops) {
+  const SchedulerOptions o = auto_options(true);
+  EXPECT_EQ(kAutoSdcMaxOpsWarm, 1165u);
+  EXPECT_EQ(resolve_backend(shaped_problem(1165, true, 1), o),
             BackendKind::kSdc);
-  EXPECT_EQ(resolve_backend(shaped_problem(4097, true, 2), o),
+  EXPECT_EQ(resolve_backend(shaped_problem(1166, true, 1), o),
             BackendKind::kList);
 }
 
-TEST(CostModel, FeatureSemantics) {
-  core::CostFeatures f;
-  f.ops = 400;
-  EXPECT_FALSE(core::model_prefers_sdc(f)) << "sequential never SDC";
-  f.pipelined = true;
-  EXPECT_FALSE(core::model_prefers_sdc(f)) << "no recurrences, no SDC";
-  EXPECT_GT(core::predicted_cost_ns(f, /*sdc=*/false), 0.0);
-  EXPECT_GT(core::predicted_cost_ns(f, /*sdc=*/true),
-            core::predicted_cost_ns(f, /*sdc=*/false));
-  core::CostFeatures big = f;
-  big.ops = 6400;
-  EXPECT_GT(core::predicted_cost_ns(big, false),
-            core::predicted_cost_ns(f, false))
-      << "cost grows with op count";
+TEST(ResolveBackend, ColdLimitIs256Ops) {
+  const SchedulerOptions o = auto_options(false);
+  EXPECT_EQ(kAutoSdcMaxOpsCold, 256u);
+  EXPECT_EQ(resolve_backend(shaped_problem(256, true, 3), o),
+            BackendKind::kSdc);
+  EXPECT_EQ(resolve_backend(shaped_problem(257, true, 3), o),
+            BackendKind::kList);
 }
 
 }  // namespace
 }  // namespace hls::sched
 
-// ---- Serve-layer guided/prune path -----------------------------------------
+// ---- Serve-layer prune path -------------------------------------------------
 
 namespace hls::serve {
 namespace {
@@ -446,7 +365,6 @@ JobRequest prune_job(std::int64_t id) {
   JobRequest j;
   j.id = id;
   j.workload = "fir16";
-  j.guided = true;
   j.prune = true;
   core::ExploreConfig cfg;
   for (double t : {1300, 1450, 1600, 1850, 2200}) {
@@ -495,13 +413,14 @@ TEST(ServeGuided, PruneIsByteDeterministicAcrossThreadCounts) {
 TEST(ServeGuided, GuidedAndPruneParseFromJson) {
   std::vector<JobRequest> jobs;
   std::vector<std::string> errors;
+  // "guided" is no longer a job field: like any unknown key it is
+  // ignored, so older documents still parse.
   ASSERT_TRUE(parse_jobs(
       R"({"id": 3, "workload": "ewf", "guided": true, "prune": true,
           "points": [{"tclk_ps": 1800, "latency": 14}]})",
       &jobs, &errors));
   ASSERT_TRUE(errors.empty()) << errors.front();
   ASSERT_EQ(jobs.size(), 1u);
-  EXPECT_TRUE(jobs[0].guided);
   EXPECT_TRUE(jobs[0].prune);
   jobs.clear();
   parse_jobs(R"({"id": 4, "workload": "ewf", "prune": "yes",

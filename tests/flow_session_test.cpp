@@ -5,7 +5,9 @@
 //  * the staged FlowRun stage chain matches run() and enforces ordering;
 //  * FlowOptions validation fails fast with structured diagnostics;
 //  * explore() with 1 thread and N threads produces identical point
-//    vectors, in config order, with profiling fields populated.
+//    vectors, in config order, with profiling fields populated;
+//  * an exact-config seed replays to the cold result in one pass on both
+//    backends, and every other seed is ignored.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -344,6 +346,105 @@ TEST(Explore, ProgressCallbackSeesEveryConfiguration) {
   // The malformed configuration surfaced as a structured infeasibility.
   EXPECT_FALSE(pts[3].feasible);
   EXPECT_FALSE(pts[3].failure.empty());
+}
+
+// ---- Exact-config replay ≡ cold ---------------------------------------------
+
+// Everything the scheduler decided, rendered to text. Pass counts and seed
+// bookkeeping are excluded: they are what a replay is allowed to change.
+std::string schedule_fingerprint(const FlowResult& r) {
+  if (!r.success) return "FAILED: " + r.failure_reason;
+  return r.sched.schedule.to_table(r.module->thread.dfg) +
+         "num_steps=" + std::to_string(r.sched.schedule.num_steps);
+}
+
+TEST(SeedGolden, ExactConfigReplayIsByteIdenticalAndOnePass) {
+  const std::vector<double> tclks = {1600, 1900, 2200};
+  struct Shape {
+    int latency;
+    int ii;
+  };
+  const std::vector<Shape> shapes = {{12, 0}, {16, 0}, {16, 8}};
+  int replays = 0;
+  for (const auto& w : workloads::suite()) {
+    const FlowSession session(w);
+    ASSERT_TRUE(session.ok()) << w.name;
+    for (auto backend : {sched::BackendKind::kList, sched::BackendKind::kSdc}) {
+      for (const Shape& shape : shapes) {
+        for (double tclk : tclks) {
+          FlowOptions o;
+          o.tclk_ps = tclk;
+          o.backend = backend;
+          o.pipeline_ii = shape.ii;
+          o.latency_min = shape.latency;
+          o.latency_max = shape.latency;
+          o.emit_verilog = false;
+          o.record_seed = true;
+          const FlowResult cold = session.run(o);
+          if (!cold.success) continue;  // no seed was recorded
+          FlowOptions replay = o;
+          replay.record_seed = false;
+          replay.seed = &cold.sched.seed_out;
+          const FlowResult seeded = session.run(replay);
+          const std::string label =
+              w.name + " backend=" + sched::backend_name(backend) +
+              " latency=" + std::to_string(shape.latency) +
+              " ii=" + std::to_string(shape.ii) +
+              " tclk=" + std::to_string(tclk);
+          EXPECT_EQ(schedule_fingerprint(cold), schedule_fingerprint(seeded))
+              << label;
+          EXPECT_EQ(seeded.sched.seed_use, sched::SeedUse::kReplay) << label;
+          EXPECT_EQ(seeded.sched.passes, 1) << label;
+          ++replays;
+        }
+      }
+    }
+  }
+  EXPECT_GT(replays, 0);
+}
+
+TEST(SeedGolden, IncompatibleSeedIsIgnoredNotApplied) {
+  const FlowSession session(workloads::make_ewf());
+  ASSERT_TRUE(session.ok());
+  FlowOptions o;
+  o.tclk_ps = 1900;
+  o.latency_min = 14;
+  o.latency_max = 14;
+  o.emit_verilog = false;
+  o.record_seed = true;
+  const FlowResult cold = session.run(o);
+  ASSERT_TRUE(cold.success);
+  FlowOptions neighbor_opts = o;
+  neighbor_opts.tclk_ps = 2200;
+  const FlowResult neighbor = session.run(neighbor_opts);
+  ASSERT_TRUE(neighbor.success);
+
+  // Wrong backend, wrong pipelining shape, a neighboring clock, and an
+  // exact seed offered to a budgeted run: the driver must ignore each one
+  // and reproduce the cold result, pass count included.
+  std::vector<sched::ScheduleSeed> seeds(3, cold.sched.seed_out);
+  seeds[0].backend = sched::BackendKind::kSdc;
+  seeds[1].pipelined = true;
+  seeds[1].ii = 4;
+  seeds[2] = neighbor.sched.seed_out;
+  std::vector<FlowOptions> runs;
+  for (const sched::ScheduleSeed& seed : seeds) {
+    FlowOptions seeded = o;
+    seeded.record_seed = false;
+    seeded.seed = &seed;
+    runs.push_back(seeded);
+  }
+  FlowOptions budgeted = o;
+  budgeted.record_seed = false;
+  budgeted.seed = &cold.sched.seed_out;
+  budgeted.budget.max_passes = cold.sched.passes;
+  runs.push_back(budgeted);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const FlowResult seeded = session.run(runs[i]);
+    EXPECT_EQ(schedule_fingerprint(cold), schedule_fingerprint(seeded)) << i;
+    EXPECT_EQ(seeded.sched.passes, cold.sched.passes) << i;
+    EXPECT_EQ(seeded.sched.seed_use, sched::SeedUse::kNone) << i;
+  }
 }
 
 TEST(Explore, LegacyFactoryOverloadStillWorks) {

@@ -9,8 +9,8 @@
 //    never an in-flight (pinned) one;
 //  * SessionCache deduplicates by spec key and by module hash, never
 //    caches failed compiles, never evicts pinned sessions;
-//  * TraceCache prefers the exact tclk bucket, breaks neighbor ties
-//    toward the smaller period, and evicts FIFO.
+//  * TraceCache hits only an exact key (clock period included) and
+//    evicts FIFO.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -298,87 +298,75 @@ sched::ScheduleSeed seed_at(double tclk) {
   return s;
 }
 
-TEST(TraceCache, ExactBucketBeatsNeighbor) {
-  TraceCache cache(8);
-  const TraceKey key{1, 0, 14, sched::BackendKind::kList};
-  cache.insert(key, seed_at(1400));
-  cache.insert(key, seed_at(1600));
-  const auto hit = cache.lookup(key, 1600);
-  ASSERT_NE(hit.seed, nullptr);
-  EXPECT_TRUE(hit.exact);
-  EXPECT_EQ(hit.seed->tclk_ps, 1600);
+TraceKey key_at(std::uint64_t module, int ii, double tclk) {
+  return TraceKey{module, ii, 14, sched::BackendKind::kList, tclk};
 }
 
-TEST(TraceCache, NearestNeighborTieBreaksTowardSmallerTclk) {
+TEST(TraceCache, OnlyTheExactClockHits) {
   TraceCache cache(8);
-  const TraceKey key{1, 0, 14, sched::BackendKind::kList};
-  cache.insert(key, seed_at(1400));
-  cache.insert(key, seed_at(1600));
-  const auto near_low = cache.lookup(key, 1450);
-  ASSERT_NE(near_low.seed, nullptr);
-  EXPECT_FALSE(near_low.exact);
-  EXPECT_EQ(near_low.seed->tclk_ps, 1400);
-  // Equidistant: 1500 is 100 from both donors — the smaller period wins.
-  const auto tie = cache.lookup(key, 1500);
-  ASSERT_NE(tie.seed, nullptr);
-  EXPECT_EQ(tie.seed->tclk_ps, 1400);
+  cache.insert(key_at(1, 0, 1400), seed_at(1400));
+  cache.insert(key_at(1, 0, 1600), seed_at(1600));
+  const sched::ScheduleSeed* hit = cache.lookup(key_at(1, 0, 1600));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->tclk_ps, 1600);
+  // A neighboring clock is a miss, not a nearest-neighbor donor.
+  EXPECT_EQ(cache.lookup(key_at(1, 0, 1450)), nullptr);
+  EXPECT_EQ(cache.lookups(), 2u);
+  EXPECT_EQ(cache.exact_hits(), 1u);
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(TraceCache, KeyFieldsMustMatchExactly) {
   TraceCache cache(8);
-  const TraceKey key{1, 4, 14, sched::BackendKind::kList};
+  const TraceKey key{1, 4, 14, sched::BackendKind::kList, 1400};
   cache.insert(key, seed_at(1400));
-  EXPECT_EQ(cache.lookup({2, 4, 14, sched::BackendKind::kList}, 1400).seed,
+  EXPECT_EQ(cache.lookup({2, 4, 14, sched::BackendKind::kList, 1400}),
             nullptr);
-  EXPECT_EQ(cache.lookup({1, 5, 14, sched::BackendKind::kList}, 1400).seed,
+  EXPECT_EQ(cache.lookup({1, 5, 14, sched::BackendKind::kList, 1400}),
             nullptr);
-  EXPECT_EQ(cache.lookup({1, 4, 15, sched::BackendKind::kList}, 1400).seed,
+  EXPECT_EQ(cache.lookup({1, 4, 15, sched::BackendKind::kList, 1400}),
             nullptr);
-  EXPECT_EQ(cache.lookup({1, 4, 14, sched::BackendKind::kSdc}, 1400).seed,
+  EXPECT_EQ(cache.lookup({1, 4, 14, sched::BackendKind::kSdc, 1400}),
             nullptr);
-  EXPECT_NE(cache.lookup(key, 1400).seed, nullptr);
+  EXPECT_EQ(cache.lookup({1, 4, 14, sched::BackendKind::kList, 1401}),
+            nullptr);
+  EXPECT_NE(cache.lookup(key), nullptr);
 }
 
 TEST(TraceCache, FifoEvictionDropsEldestInsertion) {
   TraceCache cache(2);
-  const TraceKey a{1, 0, 14, sched::BackendKind::kList};
-  const TraceKey b{2, 0, 14, sched::BackendKind::kList};
-  cache.insert(a, seed_at(1400));
-  cache.insert(b, seed_at(1500));
-  cache.insert(b, seed_at(1700));  // evicts the eldest: a@1400
+  cache.insert(key_at(1, 0, 1400), seed_at(1400));
+  cache.insert(key_at(2, 0, 1500), seed_at(1500));
+  cache.insert(key_at(2, 0, 1700), seed_at(1700));  // evicts a@1400
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_EQ(cache.lookup(a, 1400).seed, nullptr);
-  EXPECT_NE(cache.lookup(b, 1500).seed, nullptr);
-  EXPECT_NE(cache.lookup(b, 1700).seed, nullptr);
+  EXPECT_EQ(cache.lookup(key_at(1, 0, 1400)), nullptr);
+  EXPECT_NE(cache.lookup(key_at(2, 0, 1500)), nullptr);
+  EXPECT_NE(cache.lookup(key_at(2, 0, 1700)), nullptr);
 }
 
 TEST(TraceCache, ReinsertSameBucketReplacesWithoutGrowth) {
   TraceCache cache(4);
-  const TraceKey key{1, 0, 14, sched::BackendKind::kList};
-  cache.insert(key, seed_at(1400));
+  cache.insert(key_at(1, 0, 1400), seed_at(1400));
   sched::ScheduleSeed updated = seed_at(1400);
   updated.num_steps = 99;
-  cache.insert(key, std::move(updated));
+  cache.insert(key_at(1, 0, 1400), std::move(updated));
   EXPECT_EQ(cache.size(), 1u);
-  const auto hit = cache.lookup(key, 1400);
-  ASSERT_NE(hit.seed, nullptr);
-  EXPECT_EQ(hit.seed->num_steps, 99);
+  const sched::ScheduleSeed* hit = cache.lookup(key_at(1, 0, 1400));
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->num_steps, 99);
 }
 
 TEST(TraceCache, InvalidateModuleDropsAllItsSeeds) {
   TraceCache cache(8);
-  const TraceKey a{1, 0, 14, sched::BackendKind::kList};
-  const TraceKey a2{1, 4, 14, sched::BackendKind::kList};
-  const TraceKey b{2, 0, 14, sched::BackendKind::kList};
-  cache.insert(a, seed_at(1400));
-  cache.insert(a2, seed_at(1500));
-  cache.insert(b, seed_at(1400));
+  cache.insert(key_at(1, 0, 1400), seed_at(1400));
+  cache.insert(key_at(1, 4, 1500), seed_at(1500));
+  cache.insert(key_at(2, 0, 1400), seed_at(1400));
   cache.invalidate_module(1);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.lookup(a, 1400).seed, nullptr);
-  EXPECT_EQ(cache.lookup(a2, 1500).seed, nullptr);
-  EXPECT_NE(cache.lookup(b, 1400).seed, nullptr);
+  EXPECT_EQ(cache.lookup(key_at(1, 0, 1400)), nullptr);
+  EXPECT_EQ(cache.lookup(key_at(1, 4, 1500)), nullptr);
+  EXPECT_NE(cache.lookup(key_at(2, 0, 1400)), nullptr);
 }
 
 // ---- Forced eviction (fault-injection levers) ------------------------------
@@ -405,13 +393,11 @@ TEST(SessionCache, ForcedEvictionSkipsPinnedSessions) {
 TEST(TraceCache, ForcedEvictionDropsEldestAndStopsWhenEmpty) {
   TraceCache cache(8);
   EXPECT_FALSE(cache.evict_one());  // empty: nothing to do
-  const TraceKey a{1, 0, 14, sched::BackendKind::kList};
-  const TraceKey b{2, 0, 14, sched::BackendKind::kList};
-  cache.insert(a, seed_at(1400));
-  cache.insert(b, seed_at(1500));
+  cache.insert(key_at(1, 0, 1400), seed_at(1400));
+  cache.insert(key_at(2, 0, 1500), seed_at(1500));
   ASSERT_TRUE(cache.evict_one());
-  EXPECT_EQ(cache.lookup(a, 1400).seed, nullptr);  // eldest insertion went
-  EXPECT_NE(cache.lookup(b, 1500).seed, nullptr);
+  EXPECT_EQ(cache.lookup(key_at(1, 0, 1400)), nullptr);  // eldest went
+  EXPECT_NE(cache.lookup(key_at(2, 0, 1500)), nullptr);
   ASSERT_TRUE(cache.evict_one());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.evict_one());

@@ -20,7 +20,7 @@ namespace hls::serve {
 namespace {
 
 // A mixed job set: repeated designs (session-cache and per-module
-// exclusion pressure), tclk ladders (trace-cache neighbor seeding), a
+// exclusion pressure, exact-config trace replays), tclk ladders, a
 // pipelined grid, and one job that fails to compile.
 std::vector<JobRequest> job_set() {
   std::vector<JobRequest> jobs;
@@ -167,8 +167,8 @@ TEST(ServeDeterminism, WarmCachesStayDeterministic) {
 }
 
 TEST(ServeDeterminism, TraceCacheChangesPassCountsNotResults) {
-  // Strip the fields a seed is allowed to change (passes, relaxations,
-  // seed_use, and the per-job seed tallies on the done line) and the
+  // Strip the fields a replay is allowed to change (passes, relaxations,
+  // seed_use, and the per-job replay tally on the done line) and the
   // stats line; what remains must be identical with the trace cache on
   // and off.
   auto strip = [](std::string text) {
@@ -181,8 +181,7 @@ TEST(ServeDeterminism, TraceCacheChangesPassCountsNotResults) {
       start = end + 1;
       if (line.find("\"stats\"") != std::string::npos) continue;
       for (const char* field :
-           {"\"passes\":", "\"relaxations\":", "\"seed_replays\":",
-            "\"seed_seeded\":", "\"seed_misses\":"}) {
+           {"\"passes\":", "\"relaxations\":", "\"seed_replays\":"}) {
         const std::size_t at = line.find(field);
         if (at == std::string::npos) continue;
         std::size_t stop = line.find(',', at);
@@ -201,7 +200,7 @@ TEST(ServeDeterminism, TraceCacheChangesPassCountsNotResults) {
   };
   ServerOptions on;
   on.threads = 2;
-  on.micro_batch = 1;  // maximize neighbor-seeding opportunities
+  on.micro_batch = 1;  // one point per job per round
   ServerOptions off = on;
   off.trace_cache = false;
   EXPECT_EQ(strip(run_stream(on, 0)), strip(run_stream(off, 0)));
