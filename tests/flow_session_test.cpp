@@ -105,6 +105,16 @@ TEST(FlowRun, FailedScheduleShortCircuitsLaterStages) {
   ASSERT_FALSE(r.diagnostics.empty());
   EXPECT_EQ(r.diagnostics.back().stage, "schedule");
   EXPECT_EQ(r.diagnostics.back().code, "infeasible");
+
+  // A clock too short for a lone FU fails the same way, with its own code
+  // instead of an internal assertion.
+  FlowOptions too_short;
+  too_short.tclk_ps = 600;
+  const FlowResult tr = session.run(too_short);
+  EXPECT_FALSE(tr.success);
+  ASSERT_FALSE(tr.diagnostics.empty());
+  EXPECT_EQ(tr.diagnostics.back().stage, "schedule");
+  EXPECT_EQ(tr.diagnostics.back().code, "clock_too_short") << tr.failure_reason;
 }
 
 // ---- Option validation -----------------------------------------------------
