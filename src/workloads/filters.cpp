@@ -23,7 +23,9 @@ Workload make_fir(int taps, int data_width) {
   // Carried delay line x[n-1] .. x[n-taps+1].
   std::vector<VarHandle> delay;
   for (int i = 1; i < taps; ++i) {
-    auto v = b.var("z" + std::to_string(i), int_ty(w));
+    // Names are built with append: GCC 12 flags "lit" + std::string with a
+    // false -Wrestrict in Release builds.
+    auto v = b.var(std::string("z").append(std::to_string(i)), int_ty(w));
     b.set(v, b.c(0, int_ty(w)));
     delay.push_back(v);
   }
@@ -69,7 +71,7 @@ Workload make_ewf() {
 
   std::vector<VarHandle> st;
   for (int i = 0; i < 7; ++i) {
-    auto v = b.var("s" + std::to_string(i), int_ty(32));
+    auto v = b.var(std::string("s").append(std::to_string(i)), int_ty(32));
     b.set(v, b.c(0));
     st.push_back(v);
   }
@@ -146,7 +148,7 @@ Workload make_arf() {
 
   std::vector<VarHandle> st;
   for (int i = 0; i < 4; ++i) {
-    auto v = b.var("r" + std::to_string(i), int_ty(32));
+    auto v = b.var(std::string("r").append(std::to_string(i)), int_ty(32));
     b.set(v, b.c(0));
     st.push_back(v);
   }
@@ -161,7 +163,7 @@ Workload make_arf() {
                         b.get(st[3])};
   for (int i = 0; i < 16; ++i) {
     prods.push_back(b.mul(srcs[static_cast<std::size_t>(i % srcs.size())],
-                          b.c(coefs[i]), "p" + std::to_string(i)));
+                          b.c(coefs[i]), std::string("p").append(std::to_string(i))));
   }
   // Two adder trees of 8 products each (7 + 5 = 12 additions total: the
   // second tree reuses two partial sums from the first).

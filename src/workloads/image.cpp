@@ -13,7 +13,9 @@ Workload make_conv3x3() {
   Builder b("conv3x3");
   std::vector<frontend::PortHandle> win;
   for (int i = 0; i < 9; ++i) {
-    win.push_back(b.in("w" + std::to_string(i), int_ty(16)));
+    // Names are built with append: GCC 12 flags "lit" + std::string with a
+    // false -Wrestrict in Release builds.
+    win.push_back(b.in(std::string("w").append(std::to_string(i)), int_ty(16)));
   }
   auto p_out = b.out("pix", int_ty(32));
 
@@ -22,7 +24,7 @@ Workload make_conv3x3() {
   Val acc{};
   for (int i = 0; i < 9; ++i) {
     auto prod = b.mul(b.sext(b.read(win[static_cast<std::size_t>(i)]), 32),
-                      b.c(kernel[i]), "k" + std::to_string(i));
+                      b.c(kernel[i]), std::string("k").append(std::to_string(i)));
     acc = i == 0 ? prod : b.add(acc, prod);
   }
   b.write(p_out, acc);
@@ -43,7 +45,7 @@ Workload make_sobel() {
   Builder b("sobel");
   std::vector<frontend::PortHandle> win;
   for (int i = 0; i < 9; ++i) {
-    win.push_back(b.in("p" + std::to_string(i), int_ty(16)));
+    win.push_back(b.in(std::string("p").append(std::to_string(i)), int_ty(16)));
   }
   auto m_out = b.out("mag", int_ty(32));
 

@@ -24,7 +24,9 @@ Workload make_banked_fir() {
   Builder b("banked_fir");
   std::vector<PortHandle> xs;
   for (int i = 0; i < 8; ++i) {
-    xs.push_back(b.in("x" + std::to_string(i), int_ty(16)));
+    // Names are built with append: GCC 12 flags "lit" + std::string with a
+    // false -Wrestrict in Release builds.
+    xs.push_back(b.in(std::string("x").append(std::to_string(i)), int_ty(16)));
   }
   auto y_out = b.out("y", int_ty(32));
 
@@ -67,11 +69,11 @@ Workload make_transpose4() {
   Builder b("transpose4");
   std::vector<PortHandle> as;
   for (int i = 0; i < 16; ++i) {
-    as.push_back(b.in("a" + std::to_string(i), int_ty(16)));
+    as.push_back(b.in(std::string("a").append(std::to_string(i)), int_ty(16)));
   }
   std::vector<PortHandle> ss;
   for (int r = 0; r < 4; ++r) {
-    ss.push_back(b.out("s" + std::to_string(r), int_ty(32)));
+    ss.push_back(b.out(std::string("s").append(std::to_string(r)), int_ty(32)));
   }
 
   auto loop = b.begin_counted(256);

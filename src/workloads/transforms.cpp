@@ -27,10 +27,12 @@ Workload make_dct_like(const std::string& name, bool inverse,
   std::vector<frontend::PortHandle> ins;
   std::vector<frontend::PortHandle> outs;
   for (int i = 0; i < 8; ++i) {
-    ins.push_back(b.in("x" + std::to_string(i), int_ty(w)));
+    // Names are built with append: GCC 12 flags "lit" + std::string with a
+    // false -Wrestrict in Release builds.
+    ins.push_back(b.in(std::string("x").append(std::to_string(i)), int_ty(w)));
   }
   for (int i = 0; i < 8; ++i) {
-    outs.push_back(b.out("y" + std::to_string(i), int_ty(w)));
+    outs.push_back(b.out(std::string("y").append(std::to_string(i)), int_ty(w)));
   }
 
   // One column of the 8-point transform per iteration (the paper's
@@ -47,7 +49,10 @@ Workload make_dct_like(const std::string& name, bool inverse,
       const std::int64_t c =
           inverse ? dct_coef(n, k, true) : dct_coef(k, n, false);
       auto prod = b.mul(x[static_cast<std::size_t>(inverse ? n : n)], b.c(c),
-                        "m" + std::to_string(k) + "_" + std::to_string(n));
+                        std::string("m")
+                            .append(std::to_string(k))
+                            .append("_")
+                            .append(std::to_string(n)));
       acc = n == 0 ? prod : b.add(acc, prod);
     }
     auto scaled = b.shr(acc, b.c(12, ir::uint_ty(5)));
