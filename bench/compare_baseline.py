@@ -3,7 +3,6 @@
 baseline and fail on regression.
 
 Usage: compare_baseline.py CURRENT BASELINE [--max-ratio 1.5] [--max-exponent 2.0]
-                           [--explore CURRENT BASELINE [--min-explore-reduction 25]]
 
 Three checks:
  * per design size and per gated metric — the list sweep plus both SDC
@@ -27,18 +26,6 @@ is the one escape hatch, for baselines predating the complexity fit.
 The explore speedup is deliberately NOT gated: it is hardware dependent
 and meaningless on single-thread runners (see the speedup_meaningful
 flag in the JSON).
-
-With --explore, the gate also checks bench_explore_guided's
-BENCH_explore.json against its committed baseline
-(bench/baseline_explore.json). Only machine-independent metrics are
-gated — pass counts are deterministic, wall-clock is not (the bench
-itself enforces the wall-clock win at run time):
- * results_identical and pruned_only_provable must be true — the pruning
-   engine may never perturb or lose a point;
- * pass_reduction_pct must clear the --min-explore-reduction floor AND
-   stay within 15 points of the committed baseline (a silent collapse of
-   the pruning win means a grid or engine regression, even above the
-   floor).
 """
 import argparse
 import json
@@ -132,56 +119,6 @@ def gate_sweep(key, current, baseline, max_ratio, failures):
             )
 
 
-EXPLORE_DRIFT_POINTS = 15.0  # allowed pass_reduction_pct drop vs baseline
-
-
-def explore_section(doc, label):
-    section = doc.get("explore_guided")
-    if not isinstance(section, dict):
-        raise SchemaError(f"{label}: missing key 'explore_guided'")
-    for field in (
-        "results_identical",
-        "pruned_only_provable",
-        "pass_reduction_pct",
-        "exhaustive_passes",
-        "guided_passes",
-        "pruned_points",
-    ):
-        if field not in section:
-            raise SchemaError(f"{label}: explore_guided missing key '{field}'")
-    return section
-
-
-def gate_explore(current, baseline, min_reduction, failures):
-    """Machine-independent explore-guided checks, appending to `failures`."""
-    for flag in ("results_identical", "pruned_only_provable"):
-        status = "ok" if current[flag] is True else "FAIL"
-        print(f"explore_guided.{flag}: {current[flag]} {status}")
-        if current[flag] is not True:
-            failures.append(
-                f"explore_guided: {flag} is false — the pruning engine "
-                "changed or lost a point"
-            )
-    cur_pct = float(current["pass_reduction_pct"])
-    base_pct = float(baseline["pass_reduction_pct"])
-    floor = max(min_reduction, base_pct - EXPLORE_DRIFT_POINTS)
-    status = "FAIL" if cur_pct < floor else "ok"
-    print(
-        f"explore_guided.pass_reduction_pct: {cur_pct:.1f}% vs baseline "
-        f"{base_pct:.1f}% (floor {floor:.1f}%) {status}"
-    )
-    if cur_pct < floor:
-        failures.append(
-            f"explore_guided: pass reduction {cur_pct:.1f}% below floor "
-            f"{floor:.1f}% (min {min_reduction}, baseline {base_pct:.1f} "
-            f"- {EXPLORE_DRIFT_POINTS} drift)"
-        )
-    if current["guided_passes"] > current["exhaustive_passes"]:
-        failures.append(
-            "explore_guided: pruning engine used MORE passes than exhaustive"
-        )
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("current")
@@ -193,13 +130,6 @@ def main():
         action="store_true",
         help="tolerate a current file without complexity.fitted_exponent",
     )
-    ap.add_argument(
-        "--explore",
-        nargs=2,
-        metavar=("EXPLORE_CURRENT", "EXPLORE_BASELINE"),
-        help="also gate bench_explore_guided output against its baseline",
-    )
-    ap.add_argument("--min-explore-reduction", type=float, default=25.0)
     args = ap.parse_args()
 
     try:
@@ -221,22 +151,11 @@ def main():
         exponent = fitted_exponent(
             current_doc, "current", required=not args.allow_missing_exponent
         )
-        explore = None
-        if args.explore:
-            explore = (
-                explore_section(load(args.explore[0], "explore current"),
-                                "explore current"),
-                explore_section(load(args.explore[1], "explore baseline"),
-                                "explore baseline"),
-            )
     except SchemaError as e:
         print(f"scheduler perf gate: malformed input: {e}", file=sys.stderr)
         return 2
 
     failures = []
-    if explore is not None:
-        gate_explore(explore[0], explore[1], args.min_explore_reduction,
-                     failures)
     if exponent is not None:
         status = "FAIL" if exponent >= args.max_exponent else "ok"
         print(

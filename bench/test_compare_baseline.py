@@ -33,19 +33,6 @@ def healthy(ns=1000000.0, exponent=1.3, sdc_ns=None):
     return doc
 
 
-def healthy_explore(reduction=60.0, identical=True, provable=True):
-    return {
-        "explore_guided": {
-            "results_identical": identical,
-            "pruned_only_provable": provable,
-            "exhaustive_passes": 800,
-            "guided_passes": int(800 * (1 - reduction / 100.0)),
-            "pass_reduction_pct": reduction,
-            "pruned_points": 190,
-        }
-    }
-
-
 class CompareBaselineTest(unittest.TestCase):
     def run_gate(self, current, baseline, *extra):
         with tempfile.TemporaryDirectory() as tmp:
@@ -156,81 +143,6 @@ class CompareBaselineTest(unittest.TestCase):
                 del entry["success"]
         r = self.run_gate(healthy(), baseline)
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-
-    # ---- the --explore gate -------------------------------------------------
-
-    def run_explore_gate(self, explore_current, explore_baseline, *extra):
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = {}
-            docs = {
-                "current.json": healthy(),
-                "baseline.json": healthy(),
-                "explore_current.json": explore_current,
-                "explore_baseline.json": explore_baseline,
-            }
-            for name, doc in docs.items():
-                paths[name] = os.path.join(tmp, name)
-                with open(paths[name], "w") as f:
-                    json.dump(doc, f)
-            return subprocess.run(
-                [sys.executable, SCRIPT, paths["current.json"],
-                 paths["baseline.json"], "--explore",
-                 paths["explore_current.json"],
-                 paths["explore_baseline.json"], *extra],
-                capture_output=True,
-                text=True,
-            )
-
-    def test_healthy_explore_passes(self):
-        r = self.run_explore_gate(healthy_explore(), healthy_explore())
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("explore_guided.pass_reduction_pct", r.stdout)
-
-    def test_explore_results_not_identical_fails(self):
-        r = self.run_explore_gate(
-            healthy_explore(identical=False), healthy_explore()
-        )
-        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        self.assertIn("results_identical", r.stderr)
-
-    def test_explore_unprovable_prune_fails(self):
-        r = self.run_explore_gate(
-            healthy_explore(provable=False), healthy_explore()
-        )
-        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        self.assertIn("pruned_only_provable", r.stderr)
-
-    def test_explore_reduction_below_floor_fails(self):
-        r = self.run_explore_gate(
-            healthy_explore(reduction=20.0), healthy_explore(reduction=30.0)
-        )
-        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        self.assertIn("below floor", r.stderr)
-
-    def test_explore_reduction_drift_vs_baseline_fails(self):
-        # 40% clears the absolute floor but sits > 15 points under the
-        # committed 60% baseline: the pruning win silently collapsed.
-        r = self.run_explore_gate(
-            healthy_explore(reduction=40.0), healthy_explore(reduction=60.0)
-        )
-        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        self.assertIn("below floor", r.stderr)
-
-    def test_explore_missing_section_is_a_hard_error(self):
-        r = self.run_explore_gate({}, healthy_explore())
-        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
-        self.assertIn("explore_guided", r.stderr)
-
-    def test_explore_missing_field_is_a_hard_error(self):
-        doc = healthy_explore()
-        del doc["explore_guided"]["pass_reduction_pct"]
-        r = self.run_explore_gate(doc, healthy_explore())
-        self.assertEqual(r.returncode, 2, r.stdout + r.stderr)
-        self.assertIn("pass_reduction_pct", r.stderr)
-
-    def test_without_explore_flag_explore_files_are_not_required(self):
-        r = self.run_gate(healthy(), healthy())
-        self.assertEqual(r.returncode, 0, r.stderr)
 
     def test_invalid_json_is_a_hard_error(self):
         with tempfile.TemporaryDirectory() as tmp:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -86,76 +85,13 @@ ExplorePoint run_point(const FlowSession& session, const ExploreConfig& cfg,
       }
     }
   } catch (const InternalError& e) {
-    // Clock infeasible for the library (e.g. a multiplier cannot fit):
-    // the configuration is reported as infeasible, like a failed run.
+    // Safety net. A clock too short for the library fails inside the flow
+    // as [schedule/clock_too_short]; an internal assertion that still
+    // escapes is reported as this configuration's failure, like a failed
+    // run, rather than aborting the grid.
     pt.failure = strf("internal: ", e.what());
   }
   return pt;
-}
-
-bool proves_infeasibility(const ExplorePoint& point) {
-  if (point.feasible || point.cancelled) return false;
-  return point.failure.rfind("[schedule/infeasible]", 0) == 0 ||
-         point.failure.rfind("[schedule/no_feasible_ii]", 0) == 0;
-}
-
-std::string explore_chain_key(const ExploreConfig& cfg) {
-  // '\x1f' (unit separator) fences the free-form curve name off from the
-  // numeric fields; everything after it is numeric, so keys are
-  // collision-free. tclk_ps is deliberately absent — it is the chain's
-  // ladder axis.
-  return strf(cfg.curve, '\x1f', cfg.latency, '|', cfg.pipeline_ii, '|',
-              cfg.solve_min_ii, '|', static_cast<int>(cfg.backend), '|',
-              cfg.memory_aware, '|', cfg.budget.max_passes, '|',
-              cfg.budget.max_commits, '|', cfg.budget.max_relax_steps, '|',
-              cfg.budget.deadline_seconds);
-}
-
-namespace {
-
-/// One clock ladder — the pruning engine's unit of dispatch and pruning:
-/// config indices, loosest tclk first.
-using Chain = std::vector<std::size_t>;
-
-std::vector<Chain> build_chains(const std::vector<ExploreConfig>& configs) {
-  // Chains are created in the order of their first config, so the stable
-  // sort at the end breaks size ties toward the chain holding the smaller
-  // config index.
-  std::map<std::string, std::size_t> by_key;
-  std::vector<Chain> chains;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    const auto [it, inserted] =
-        by_key.emplace(explore_chain_key(configs[i]), chains.size());
-    if (inserted) chains.emplace_back();
-    chains[it->second].push_back(i);
-  }
-  for (Chain& chain : chains) {
-    // Loosest clock first (the cheapest end of the ladder and the
-    // dominance witness's side); equal clocks keep config order.
-    std::stable_sort(chain.begin(), chain.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return configs[a].tclk_ps > configs[b].tclk_ps;
-                     });
-  }
-  // Largest chain first bounds the parallel makespan (longest processing
-  // time first, with a point as the unit of cost).
-  std::stable_sort(chains.begin(), chains.end(),
-                   [](const Chain& a, const Chain& b) {
-                     return a.size() > b.size();
-                   });
-  return chains;
-}
-
-}  // namespace
-
-std::vector<std::size_t> guided_order(
-    const std::vector<ExploreConfig>& configs) {
-  std::vector<std::size_t> order;
-  order.reserve(configs.size());
-  for (const Chain& chain : build_chains(configs)) {
-    order.insert(order.end(), chain.begin(), chain.end());
-  }
-  return order;
 }
 
 std::vector<ExplorePoint> explore(const FlowSession& session,
@@ -182,71 +118,6 @@ std::vector<ExplorePoint> explore(const FlowSession& session,
     options.progress(pt, ++completed, configs.size());
   };
 
-  std::vector<std::exception_ptr> errors(configs.size());
-
-  if (options.prune) {
-    // Chains are the work units. All cross-thread state is per-chain and
-    // chains never share slots, so every field of every point is
-    // identical at any thread count; only dispatch overlap (wall-clock)
-    // changes.
-    const std::vector<Chain> chains = build_chains(configs);
-    auto run_chain = [&](const Chain& chain) {
-      bool have_witness = false;
-      double witness_tclk = 0;
-      for (const std::size_t i : chain) {
-        const ExploreConfig& cfg = configs[i];
-        if (have_witness && cfg.tclk_ps < witness_tclk) {
-          // Dominated: provable infeasibility at a looser clock on this
-          // chain proves this strictly tighter point infeasible too
-          // (feasibility is monotone in tclk along a chain). Synthesize
-          // the point without scheduling.
-          ExplorePoint& pt = points[i];
-          pt.curve = cfg.curve;
-          pt.tclk_ps = cfg.tclk_ps;
-          pt.latency = cfg.latency;
-          pt.pipelined = cfg.pipeline_ii > 0 || cfg.solve_min_ii;
-          pt.backend = sched::backend_name(cfg.backend);
-          pt.failure = strf(kDominatedPrefix,
-                            " provably infeasible at looser clock tclk_ps=",
-                            witness_tclk);
-          report(pt);
-          continue;
-        }
-        try {
-          points[i] = run_point(session, cfg);
-          if (!have_witness && proves_infeasibility(points[i])) {
-            have_witness = true;
-            witness_tclk = cfg.tclk_ps;
-          }
-          report(points[i]);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-    };
-    if (threads <= 1 || chains.size() <= 1) {
-      for (const Chain& chain : chains) run_chain(chain);
-    } else {
-      std::atomic<std::size_t> next{0};
-      auto worker = [&] {
-        for (std::size_t c = next.fetch_add(1); c < chains.size();
-             c = next.fetch_add(1)) {
-          run_chain(chains[c]);
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(std::min(threads, chains.size()));
-      for (std::size_t t = 0; t < std::min(threads, chains.size()); ++t) {
-        pool.emplace_back(worker);
-      }
-      for (std::thread& t : pool) t.join();
-    }
-    for (const std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
-    return points;
-  }
-
   if (threads <= 1) {
     for (std::size_t i = 0; i < configs.size(); ++i) {
       points[i] = run_point(session, configs[i]);
@@ -258,6 +129,7 @@ std::vector<ExplorePoint> explore(const FlowSession& session,
   // Worker pool over an atomic work index. Each worker writes only its own
   // slot, so the result vector is ordered like `configs` no matter which
   // worker picks which configuration up.
+  std::vector<std::exception_ptr> errors(configs.size());
   std::atomic<std::size_t> next{0};
   auto worker = [&] {
     for (std::size_t i = next.fetch_add(1); i < configs.size();

@@ -7,15 +7,6 @@
 // vector is ordered like `configs`, and every result field except the
 // wall-clock `sched_seconds` is identical regardless of the thread count
 // (every run schedules the same immutable compiled module).
-//
-// Pruning mode (ExploreOptions::prune, docs/EXPLORE.md): configurations
-// that differ only in clock period form a *chain*; chains become the
-// parallel work units, dispatched largest-first, and each chain runs
-// serially from its loosest clock down. A provable infeasibility part-way
-// down a chain skips every strictly tighter clock on that chain —
-// reported as synthetic `[explore/dominated]` points without running. The
-// engine stays deterministic at every thread count, and every point it
-// does run is field-identical to the exhaustive engine's.
 #pragma once
 
 #include <cstdint>
@@ -67,8 +58,8 @@ struct ExplorePoint {
   /// backend; 0 for list runs): static difference-constraint edges and
   /// Bellman-Ford edge relaxations (PassRecord::constraint_edges /
   /// ::propagation_relaxations summed over the pass history). Surfaced
-  /// per point so grid-level encoding regressions are visible in
-  /// BENCH_explore.json, not only as wall-clock.
+  /// per point so a grid caller sees an encoding regression as a count
+  /// on the configuration that hit it, not only as wall-clock.
   std::uint64_t constraint_edges = 0;
   std::uint64_t propagation_relaxations = 0;
 
@@ -117,20 +108,6 @@ struct ExploreOptions {
   std::function<void(const ExplorePoint& point, std::size_t completed,
                      std::size_t total)>
       progress;
-
-  /// Infeasibility-dominance pruning: run the grid as clock-ladder
-  /// chains (explore_chain_key), largest chain first, each chain serially
-  /// loosest-clock-first. Once a chain point fails with a *provable*
-  /// schedule-stage code (proves_infeasibility), every strictly tighter
-  /// clock on that chain is reported as a synthetic `[explore/dominated]`
-  /// point without running. Sound because feasibility is monotone in the
-  /// clock period along a chain: a schedule found at a tight clock is
-  /// valid verbatim at a looser one (chaining slack only grows), and the
-  /// deterministic relaxation ladder preserves that monotonicity
-  /// (test-enforced). Budget/cancellation failures are not proofs and
-  /// never prune. Points the engine runs are field-identical to the
-  /// exhaustive engine's; the result vector stays ordered like `configs`.
-  bool prune = false;
 };
 
 /// Seed plumbing for run_point: lets a serving layer replay a
@@ -175,32 +152,5 @@ std::vector<ExplorePoint> explore(
 /// micro-architectures with latencies {8, 16, 32}, clock scaled so each
 /// curve spans a range of delays (25 configurations).
 std::vector<ExploreConfig> idct_paper_grid();
-
-// ---- Pruning engine building blocks (shared with the serve layer and
-// ---- the pruning tests/bench).
-
-/// Failure prefix stamped on points skipped by dominance pruning.
-inline constexpr char kDominatedPrefix[] = "[explore/dominated]";
-
-/// True when the point's failure is a *proof* of infeasibility for its
-/// configuration — a schedule-stage result that cannot change on re-run:
-/// the relaxation ladder exhausted every expert action
-/// ("[schedule/infeasible]") or min-II search exhausted every candidate
-/// ("[schedule/no_feasible_ii]"). Budget, deadline and cancellation
-/// failures say the run was cut short, not that the point is infeasible,
-/// so they never justify pruning.
-bool proves_infeasibility(const ExplorePoint& point);
-
-/// Chain (family) key: every ExploreConfig field EXCEPT the clock
-/// period, so configs with equal keys form one clock ladder — the unit
-/// of dominance pruning. Pure and deterministic.
-std::string explore_chain_key(const ExploreConfig& cfg);
-
-/// The pruning engine's execution order as a permutation of config
-/// indices: chains sorted by point count descending (ties by smallest
-/// config index), each chain's members loosest clock first (ties by
-/// config index). explore(prune) consumes chains directly; the serve
-/// layer reorders a prune job's points with this at admission.
-std::vector<std::size_t> guided_order(const std::vector<ExploreConfig>& configs);
 
 }  // namespace hls::core

@@ -63,10 +63,10 @@ class SchedulerBackend {
 /// (SchedulerOptions::warm_start). They are the crossovers of the fitted
 /// per-pass cost model this rule replaced: power laws over the list and
 /// SDC size sweep (100-6400 ops, bench/baseline_scheduler.json), with an
-/// SDC discount on recurrences fitted to the list-vs-SDC A/B
-/// (recurrence_ab in bench/baseline_explore.json). That model preferred
-/// SDC exactly on pipelined problems with a recurrence and at most this
-/// many ops, at every size from 0 to 20,000 ops.
+/// SDC discount on recurrences fitted to bench_recurrence_ab's list-vs-SDC
+/// A/B (bench/baseline_recurrence.json). That model preferred SDC exactly
+/// on pipelined problems with a recurrence and at most this many ops, at
+/// every size from 0 to 20,000 ops.
 inline constexpr std::size_t kAutoSdcMaxOpsWarm = 1165;
 inline constexpr std::size_t kAutoSdcMaxOpsCold = 256;
 

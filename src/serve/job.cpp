@@ -315,13 +315,6 @@ bool parse_job(const JsonValue& v, JobRequest* out, std::string* error) {
     if (!limit("commits", &job.budget.max_commits)) return false;
     if (!limit("relax_steps", &job.budget.max_relax_steps)) return false;
   }
-  if (const JsonValue* b = v.find("prune"); b != nullptr) {
-    if (!b->is_bool()) {
-      *error = "\"prune\" must be a boolean";
-      return false;
-    }
-    job.prune = b->as_bool();
-  }
   if (const JsonValue* d = v.find("deadline_ms"); d != nullptr) {
     if (!d->is_number() || d->as_number() < 0) {
       *error = "\"deadline_ms\" must be a non-negative number";

@@ -47,14 +47,6 @@ struct JobRequest {
   /// Work-unit exhaustion is deterministic: the same point fails with the
   /// same [schedule/budget_exhausted] line at every thread count.
   support::BudgetLimits budget = {};
-  /// Infeasibility-dominance pruning ("prune": true): the job's points
-  /// are reordered at admission with core::guided_order — clock-ladder
-  /// chains, largest chain first, each chain loosest clock first — so the
-  /// stream's point indices refer to the REORDERED list (docs/SERVE.md).
-  /// Once a point fails with a provable schedule-stage code, strictly
-  /// tighter clocks on the same chain are emitted as synthetic
-  /// [explore/dominated] lines without being scheduled.
-  bool prune = false;
 };
 
 /// The bundled kernel names resolve_workload accepts (plus "random").

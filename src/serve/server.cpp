@@ -57,7 +57,6 @@ std::string ServeStats::to_json() const {
   w.key("points_cancelled"), w.value(points_cancelled);
   w.key("compile_retries"), w.value(compile_retries);
   w.key("faults_injected"), w.value(faults_injected);
-  w.key("points_pruned"), w.value(points_pruned);
   w.end_object();
   w.end_object();
   return w.str();
@@ -76,14 +75,6 @@ struct Server::ActiveJob {
   std::uint64_t seed_replays = 0;
   /// Points emitted as cancelled placeholders (cancel() or drain stop).
   std::uint64_t cancelled_points = 0;
-  /// Points skipped by dominance pruning (req.prune jobs only).
-  std::uint64_t pruned_points = 0;
-  /// Per-chain pruning witnesses (req.prune jobs only): chain key → the
-  /// loosest clock period proven infeasible on that chain so far. Written
-  /// only in the serial commit loop and read only at serial round-build
-  /// time, so pruning decisions are cross-round and thread-count
-  /// independent for a fixed micro_batch.
-  std::map<std::string, double> chain_witness;
 };
 
 Server::Server(ServerOptions options)
@@ -241,10 +232,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
     if (aj.cancelled_points > 0) {
       w.key("cancelled"), w.value(aj.cancelled_points);
     }
-    // Likewise only prune-enabled jobs that actually skipped work.
-    if (aj.pruned_points > 0) {
-      w.key("pruned"), w.value(aj.pruned_points);
-    }
     w.key("seed_replays"), w.value(aj.seed_replays);
     w.key("session_cache_hit"), w.value(aj.session_hit);
     w.key("module"), w.value(hex64(aj.module_hash));
@@ -398,21 +385,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
       aj.session = std::move(acq.session);
       aj.module_hash = acq.module_hash;
       aj.session_hit = acq.cache_hit;
-      if (aj.req.prune) {
-        // Reorder the job's points into chain order (core::guided_order)
-        // once, deterministically — the stream's point indices refer to
-        // this reordered list (docs/SERVE.md). Chains put each ladder's
-        // loosest clock first, which is what makes the prune witnesses
-        // below sound.
-        const std::vector<std::size_t> order =
-            core::guided_order(aj.req.points);
-        std::vector<core::ExploreConfig> reordered;
-        reordered.reserve(order.size());
-        for (const std::size_t p : order) {
-          reordered.push_back(std::move(aj.req.points[p]));
-        }
-        aj.req.points = std::move(reordered);
-      }
       active.emplace(id, std::move(aj));
     }
     if (active.empty()) continue;  // admitted jobs all failed to compile
@@ -433,12 +405,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
       /// so the SAME item fails at every thread count; the worker then
       /// synthesizes a failed point instead of scheduling.
       bool fault_dispatch = false;
-      /// Dominance-pruned (req.prune): a looser clock on this point's
-      /// chain was already proven infeasible in an earlier round. Decided
-      /// serially at build time like fault_dispatch; the worker
-      /// synthesizes an [explore/dominated] point instead of scheduling.
-      bool dominated = false;
-      double dominated_witness = 0;  ///< the witness clock, for the message
       sched::ScheduleSeed seed;
       core::RunPointExtras extras;
       core::ExplorePoint pt;
@@ -457,20 +423,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
         item.index = aj.next_point + i;
         item.cfg = &aj.req.points[item.index];
         item.session = aj.session.get();
-        if (aj.req.prune) {
-          const auto wit =
-              aj.chain_witness.find(core::explore_chain_key(*item.cfg));
-          if (wit != aj.chain_witness.end() &&
-              item.cfg->tclk_ps < wit->second) {
-            // Skip seed lookup and dispatch faults entirely: the point
-            // never reaches a worker, so neither cache nor injector
-            // should see it.
-            item.dominated = true;
-            item.dominated_witness = wit->second;
-            work.push_back(std::move(item));
-            continue;
-          }
-        }
         // Min-II points get their own key space (-1): their donor seeds
         // carry the SOLVED II and must not be offered to fixed-II points
         // (or vice versa) just because the request II matched.
@@ -494,15 +446,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
 
     // ---- Fan out over the worker pool (barrier) ------------------------
     auto run_item = [&](Work& item) {
-      if (item.dominated) {
-        item.pt = synthetic_point(
-            *item.cfg,
-            strf(core::kDominatedPrefix,
-                 " provably infeasible at looser clock tclk_ps=",
-                 item.dominated_witness),
-            false);
-        return;
-      }
       if (item.fault_dispatch) {
         // The fault decision was made serially; the point fails with a
         // structured diagnostic and the rest of the job proceeds.
@@ -558,15 +501,6 @@ void Server::drain(const std::function<void(const std::string& line)>& sink) {
       if (!item.pt.feasible) {
         ++stats_.points_failed;
         ++owner.failures;
-      }
-      if (item.dominated) {
-        ++stats_.points_pruned;
-        ++owner.pruned_points;
-      } else if (owner.req.prune && core::proves_infeasibility(item.pt)) {
-        // Record (or loosen) this chain's witness for later rounds; any
-        // proven-infeasible clock dominates everything strictly tighter.
-        double& wit = owner.chain_witness[core::explore_chain_key(*item.cfg)];
-        wit = std::max(wit, item.cfg->tclk_ps);
       }
       if (options_.trace_cache && item.extras.seed_recorded) {
         // An injected insert failure just drops the seed: a later run of

@@ -106,9 +106,6 @@ struct ServeStats {
   std::uint64_t points_cancelled = 0;  ///< cancelled placeholder points
   std::uint64_t compile_retries = 0;   ///< transient-fault re-queues
   std::uint64_t faults_injected = 0;   ///< injector sites that fired
-  /// Points a prune-enabled job skipped as [explore/dominated] (proved
-  /// infeasible by a looser clock on the same chain; never scheduled).
-  std::uint64_t points_pruned = 0;
 
   std::string to_json() const;
 };

@@ -227,6 +227,8 @@ TEST(Explore, InfeasibleClockReportedNotThrown) {
   const auto pts = explore([] { return workloads::make_idct8(); }, grid);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_FALSE(pts[0].feasible);
+  EXPECT_EQ(pts[0].failure.rfind("[schedule/clock_too_short]", 0), 0u)
+      << pts[0].failure;
 }
 
 // ---- Table 4 style ablation through the flow ---------------------------------------------

@@ -5,7 +5,8 @@
 //  * the staged FlowRun stage chain matches run() and enforces ordering;
 //  * FlowOptions validation fails fast with structured diagnostics;
 //  * explore() with 1 thread and N threads produces identical point
-//    vectors, in config order, with profiling fields populated;
+//    vectors, in config order, with profiling fields populated (SDC
+//    constraint totals per point);
 //  * an exact-config seed replays to the cold result in one pass on both
 //    backends, and every other seed is ignored.
 #include <gtest/gtest.h>
@@ -462,6 +463,26 @@ TEST(Explore, LegacyFactoryOverloadStillWorks) {
   const auto pts = explore([] { return workloads::make_fir(4); }, grid);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_TRUE(pts[0].feasible);
+}
+
+TEST(Explore, ConstraintTotalsSurfacePerPoint) {
+  const FlowSession session(workloads::make_crc32());
+  ExploreConfig cfg;
+  cfg.curve = "ii2";
+  cfg.tclk_ps = 1450;
+  cfg.pipeline_ii = 2;
+  cfg.backend = sched::BackendKind::kSdc;
+  auto sdc = explore(session, {cfg}, {});
+  ASSERT_TRUE(sdc[0].feasible) << sdc[0].failure;
+  EXPECT_GT(sdc[0].constraint_edges, 0u);
+  EXPECT_GT(sdc[0].propagation_relaxations, 0u);
+  cfg.backend = sched::BackendKind::kList;
+  auto list = explore(session, {cfg}, {});
+  ASSERT_TRUE(list[0].feasible) << list[0].failure;
+  EXPECT_EQ(list[0].constraint_edges, 0u);
+  EXPECT_EQ(list[0].propagation_relaxations, 0u);
+  // Same shared ladder: pass counts match across backends.
+  EXPECT_EQ(sdc[0].passes, list[0].passes);
 }
 
 }  // namespace

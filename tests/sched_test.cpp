@@ -1,13 +1,15 @@
 // Tests for src/sched/: the iterative scheduling driver on the paper's
 // worked examples (Example 1 sequential / II=2 / II=1 with the expected
 // Table 2 schedules), chaining under the clock constraint, multi-cycle
-// units, predicate exclusivity, write ordering, and randomized DAGs.
+// units, predicate exclusivity, write ordering, randomized DAGs, and
+// resolve_backend's kAuto rule with its two size limits.
 #include <gtest/gtest.h>
 
 #include "support/diagnostics.hpp"
 
 #include "frontend/builder.hpp"
 #include "opt/pass.hpp"
+#include "sched/backend.hpp"
 #include "sched/driver.hpp"
 #include "support/rng.hpp"
 #include "tech/library.hpp"
@@ -483,6 +485,82 @@ TEST_P(RandomDagPipelined, PipelinedSchedulesRespectEquivalentEdges) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagPipelined, ::testing::Range(0, 12));
+
+// ---- resolve_backend: the kAuto rule ---------------------------------------
+
+Problem shaped_problem(std::size_t ops, bool pipelined, std::size_t sccs) {
+  Problem p;
+  p.ops.resize(ops);
+  p.pipeline.enabled = pipelined;
+  p.sccs.resize(sccs);
+  return p;
+}
+
+SchedulerOptions auto_options(bool warm_start) {
+  SchedulerOptions o;
+  o.backend = BackendKind::kAuto;
+  o.warm_start = warm_start;
+  return o;
+}
+
+// "Both rules": the warm-start and the cold size limit.
+TEST(ResolveBackend, ExplicitChoicePassesThroughBothRules) {
+  for (bool warm : {false, true}) {
+    SchedulerOptions o = auto_options(warm);
+    o.backend = BackendKind::kSdc;
+    EXPECT_EQ(resolve_backend(shaped_problem(64, false, 0), o),
+              BackendKind::kSdc);
+    o.backend = BackendKind::kList;
+    EXPECT_EQ(resolve_backend(shaped_problem(64, true, 2), o),
+              BackendKind::kList);
+  }
+}
+
+TEST(ResolveBackend, BothRulesKeepListForSequentialAndFeedForward) {
+  for (bool warm : {false, true}) {
+    const SchedulerOptions o = auto_options(warm);
+    // Sequential, and pipelined-but-recurrence-free: SDC buys nothing.
+    for (std::size_t ops : {std::size_t{1}, std::size_t{64}}) {
+      EXPECT_EQ(resolve_backend(shaped_problem(ops, false, 0), o),
+                BackendKind::kList)
+          << "warm=" << warm;
+      EXPECT_EQ(resolve_backend(shaped_problem(ops, false, 2), o),
+                BackendKind::kList)
+          << "warm=" << warm;
+      EXPECT_EQ(resolve_backend(shaped_problem(ops, true, 0), o),
+                BackendKind::kList)
+          << "warm=" << warm;
+    }
+  }
+}
+
+TEST(ResolveBackend, ModelPrefersSdcOnWarmPipelinedRecurrences) {
+  const SchedulerOptions o = auto_options(true);
+  // Small and mid-size recurrence problems sit well inside the warm limit
+  // (the crossover of the fitted model the rule replaced).
+  EXPECT_EQ(resolve_backend(shaped_problem(64, true, 1), o),
+            BackendKind::kSdc);
+  EXPECT_EQ(resolve_backend(shaped_problem(400, true, 3), o),
+            BackendKind::kSdc);
+}
+
+TEST(ResolveBackend, WarmLimitIs1165Ops) {
+  const SchedulerOptions o = auto_options(true);
+  EXPECT_EQ(kAutoSdcMaxOpsWarm, 1165u);
+  EXPECT_EQ(resolve_backend(shaped_problem(1165, true, 1), o),
+            BackendKind::kSdc);
+  EXPECT_EQ(resolve_backend(shaped_problem(1166, true, 1), o),
+            BackendKind::kList);
+}
+
+TEST(ResolveBackend, ColdLimitIs256Ops) {
+  const SchedulerOptions o = auto_options(false);
+  EXPECT_EQ(kAutoSdcMaxOpsCold, 256u);
+  EXPECT_EQ(resolve_backend(shaped_problem(256, true, 3), o),
+            BackendKind::kSdc);
+  EXPECT_EQ(resolve_backend(shaped_problem(257, true, 3), o),
+            BackendKind::kList);
+}
 
 }  // namespace
 }  // namespace hls::sched

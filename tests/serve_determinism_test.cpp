@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "serve/server.hpp"
+#include "support/strings.hpp"
 
 namespace hls::serve {
 namespace {
@@ -227,6 +228,46 @@ TEST(ServeDeterminism, TraceCacheChangesPassCountsNotResults) {
   EXPECT_EQ(budget_on, drain_text(off, kBudgetDoc));
   EXPECT_NE(budget_on.find("pass_budget_exhausted"), std::string::npos)
       << budget_on;
+}
+
+// A job document may still carry the retired prune and guided keys; like
+// any unknown key they are ignored, so the stream is byte-identical to
+// the same document without them. The ewf ladder (sequential, latency 8)
+// also pins that feasibility is not monotone in the clock: 2000 and
+// 2400 ps are proven infeasible, yet 2100-2300 ps schedule between them.
+TEST(ServeDeterminism, RetiredPruneAndGuidedKeysAreIgnored) {
+  ServerOptions options;
+  options.micro_batch = 1;
+  options.emit_stats = true;
+  auto drain_lines = [&](std::string_view doc) {
+    Server server(options);
+    std::vector<std::string> errors;
+    EXPECT_EQ(server.submit_text(doc, &errors), 1u);
+    std::vector<std::string> lines;
+    server.drain([&](const std::string& line) { lines.push_back(line); });
+    return lines;
+  };
+  const std::vector<std::string> retired = drain_lines(
+      R"({"id":0,"workload":"ewf","prune":true,"guided":true,)"
+      R"("grid":{"tclk_ps":[2000,2100,2200,2300,2400,2500],"latency":[8]}})");
+  const std::vector<std::string> plain = drain_lines(
+      R"({"id":0,"workload":"ewf",)"
+      R"("grid":{"tclk_ps":[2000,2100,2200,2300,2400,2500],"latency":[8]}})");
+  EXPECT_EQ(retired, plain);
+
+  // Six point lines in grid order (2000 + 100 i ps), the done line and
+  // the stats line.
+  ASSERT_EQ(plain.size(), 8u);
+  auto point_has = [&](std::size_t i, std::string_view text) {
+    return plain[i].find(strf("\"tclk_ps\":", 2000 + 100 * i, ",")) !=
+               std::string::npos &&
+           plain[i].find(text) != std::string::npos;
+  };
+  EXPECT_TRUE(point_has(0, "[schedule/infeasible]")) << plain[0];
+  for (std::size_t i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(point_has(i, "\"feasible\":true")) << plain[i];
+  }
+  EXPECT_TRUE(point_has(4, "[schedule/infeasible]")) << plain[4];
 }
 
 TEST(ServeDeterminism, RejectsDuplicateAndMalformedJobs) {
